@@ -13,6 +13,7 @@ import pathlib
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -24,11 +25,27 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBE_ITERATIONS = 200_000
 #: Iterations of the short probes taken next to every repetition.
 SHORT_PROBE_ITERATIONS = 40_000
+#: Probes per rate in the run record (before and after the timed region).
+RECORD_PROBES = 5
 #: Short probes per host-speed reading (see :func:`host_factor`).
 FACTOR_PROBES = 3
 #: Probe rate (iterations/s) of the reference host speed that timed
 #: metrics are reported at.
 REFERENCE_PROBE_RATE = 10e6
+#: Host settle: busy windows of ``SETTLE_WINDOW_S`` until two consecutive
+#: window rates agree within ``SETTLE_TOLERANCE``, after at least
+#: ``SETTLE_MIN_S`` and at most ``SETTLE_MAX_S``.
+SETTLE_MIN_S = 2.5
+SETTLE_MAX_S = 8.0
+SETTLE_WINDOW_S = 0.25
+SETTLE_TOLERANCE = 0.03
+#: Warm-up: at least ``WARM_MIN_REPS`` untimed repetitions, until the last
+#: two rates agree within ``WARM_TOLERANCE`` or ``WARM_MAX_S`` has passed.
+WARM_MIN_REPS = 3
+WARM_TOLERANCE = 0.05
+WARM_MAX_S = 4.0
+#: Timed repetitions per run, at least.
+MIN_TIMED_REPS = 3
 
 
 def cpu_probe(iterations: int = PROBE_ITERATIONS) -> float:
@@ -58,27 +75,25 @@ def host_factor() -> float:
     return rate / REFERENCE_PROBE_RATE
 
 
-def probe_rate(samples: int = 5) -> float:
-    """Median of a few CPU probes."""
-    return statistics.median(cpu_probe() for _ in range(samples))
+def probe_rate() -> float:
+    """Median of ``RECORD_PROBES`` CPU probes."""
+    return statistics.median(cpu_probe() for _ in range(RECORD_PROBES))
 
 
-def settle_host(
-    min_s: float = 2.5, max_s: float = 8.0, window_s: float = 0.25,
-    tolerance: float = 0.03,
-) -> Dict[str, float]:
+def settle_host() -> Dict[str, float]:
     """Spin until the CPU reaches a steady speed.
 
     A fresh process on a shared host runs at a fraction of full speed
     for its first seconds; set-up and repetitions timed in that phase
-    measure the host, not the program.  Busy-waits in ``window_s``
-    windows until two consecutive window rates agree within
-    ``tolerance`` after at least ``min_s`` (at most ``max_s``).
+    measure the host, not the program.  Busy-waits in
+    ``SETTLE_WINDOW_S`` windows until two consecutive window rates agree
+    within ``SETTLE_TOLERANCE``, after at least ``SETTLE_MIN_S`` (at
+    most ``SETTLE_MAX_S``).
     """
     start = time.perf_counter()
     previous = None
     while True:
-        window_end = time.perf_counter() + window_s
+        window_end = time.perf_counter() + SETTLE_WINDOW_S
         iterations = 0
         window_start = time.perf_counter()
         while time.perf_counter() < window_end:
@@ -87,40 +102,40 @@ def settle_host(
         rate = iterations / (time.perf_counter() - window_start)
         elapsed = time.perf_counter() - start
         steady = previous is not None and abs(rate - previous) <= (
-            tolerance * previous
+            SETTLE_TOLERANCE * previous
         )
-        if (steady and elapsed >= min_s) or elapsed >= max_s:
+        if (steady and elapsed >= SETTLE_MIN_S) or elapsed >= SETTLE_MAX_S:
             return {"settle_s": elapsed, "settle_rate": rate}
         previous = rate
 
 
-def warm_up(
-    rep: Callable[[], int], tolerance: float = 0.05, min_reps: int = 3,
-    max_s: float = 4.0,
-) -> int:
+def warm_up(rep: Callable[[], int]) -> int:
     """Run ``rep`` untimed until two consecutive rates agree.
 
-    ``rep`` returns its operation count.  Stops after ``min_reps`` once
-    the last two rates are within ``tolerance`` of each other, or when
-    ``max_s`` has passed.  Returns the repetitions run.
+    ``rep`` returns its operation count (0 once it has nothing left to
+    run, which ends the warm-up).  Stops after ``WARM_MIN_REPS`` once
+    the last two rates are within ``WARM_TOLERANCE`` of each other, or
+    when ``WARM_MAX_S`` has passed.  Returns the repetitions run.
     """
     start = time.perf_counter()
     rates: List[float] = []
     while True:
         t0 = time.perf_counter()
         ops = rep()
+        if not ops:
+            return len(rates)
         rates.append(ops / (time.perf_counter() - t0))
-        if len(rates) >= min_reps and abs(rates[-1] - rates[-2]) <= (
-            tolerance * rates[-2]
+        if len(rates) >= WARM_MIN_REPS and abs(rates[-1] - rates[-2]) <= (
+            WARM_TOLERANCE * rates[-2]
         ):
             return len(rates)
-        if time.perf_counter() - start >= max_s:
+        if time.perf_counter() - start >= WARM_MAX_S:
             return len(rates)
 
 
 def timed_reps(
     rep: Callable[[], int], seconds: float,
-    check: Optional[Callable[[], None]] = None, min_reps: int = 3,
+    check: Optional[Callable[[], None]] = None,
 ) -> List[Tuple[int, float, float]]:
     """``(ops, wall_s, host_factor)`` of repetitions filling ``seconds``.
 
@@ -129,7 +144,7 @@ def timed_reps(
     """
     samples = []
     deadline = time.perf_counter() + seconds
-    while len(samples) < min_reps or time.perf_counter() < deadline:
+    while len(samples) < MIN_TIMED_REPS or time.perf_counter() < deadline:
         factor = host_factor()
         t0 = time.perf_counter()
         ops = rep()
@@ -161,6 +176,33 @@ def percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, -(-len(ordered) * q // 100))
     return float(ordered[int(rank) - 1])
+
+
+@contextmanager
+def idle_spinners(cpus: Sequence[int]):
+    """Keep each of ``cpus`` busy at idle priority while the block runs.
+
+    A request that crosses processes wakes a thread on each side.  On a
+    virtual machine a core with nothing to run is halted, and waking it
+    again costs a variable part of a sub-millisecond round trip.  With a
+    ``SCHED_IDLE`` spinner on the core, a woken thread only preempts the
+    spinner, which yields at once to any normal-priority thread.
+    """
+    spinners = []
+    try:
+        for cpu in cpus:
+            spinners.append(
+                subprocess.Popen([sys.executable, "-c", "while True: pass"])
+            )
+            pid = spinners[-1].pid
+            os.sched_setscheduler(pid, os.SCHED_IDLE, os.sched_param(0))
+            os.sched_setaffinity(pid, {cpu})
+        yield
+    finally:
+        for proc in spinners:
+            proc.kill()
+        for proc in spinners:
+            proc.wait()
 
 
 def rss_mb() -> Tuple[float, float]:

@@ -20,7 +20,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from batch import MEMOS
-from harness import Tracer, host_factor, median_rate, percentile, raw_rate
+from harness import (
+    Tracer, host_factor, median_rate, percentile, raw_rate, warm_up,
+)
 
 from repro.serving import (
     ServingEngine,
@@ -40,6 +42,9 @@ OPEN_CHUNK_S = 0.6
 CLOSED_WINDOW = 192
 #: Requests submitted (and flushed) together in the closed loop.
 DISPATCH = 64
+#: The cores this process may run on, read once at import: set-up pins
+#: the main thread to one of them, so a later read would see only that.
+CPUS = sorted(os.sched_getaffinity(0))
 
 
 class _Tally:
@@ -83,6 +88,9 @@ class Serve:
     #: Set-ups per run (each starts and warms a fleet); ``setup_s`` is
     #: their median.
     SETUP_REPEATS = 3
+    #: Cores kept busy at idle priority for the whole run (see
+    #: ``harness.idle_spinners``).
+    SPIN_CPUS = CPUS
 
     def __init__(self, seed: int, smoke: bool = False, hot: bool = True) -> None:
         self.seed = seed
@@ -99,6 +107,10 @@ class Serve:
             self.open_rate = 100.0
         #: serve-cold responses compared with the in-process engine.
         self.cold_checks = 16 if smoke else 64
+        #: The core whose speed the timed figures are normalized by: the
+        #: parent's front door bounds serve-hot, worker evaluation
+        #: bounds serve-cold.
+        self.probe_cpu = CPUS[0] if hot else CPUS[-1]
 
     # ------------------------------------------------------------------
     # Set-up
@@ -134,9 +146,8 @@ class Serve:
                 types.append(type_ids[key])
             requests = [record_to_request(record) for record in kept]
         # The worker (and every thread it starts) runs on one core, the
-        # parent's threads on the other, where the host-speed probe runs.
-        cpus = sorted(os.sched_getaffinity(0))
-        parent_cpu, worker_cpu = cpus[0], cpus[-1]
+        # parent's threads on the other.
+        parent_cpu, worker_cpu = CPUS[0], CPUS[-1]
         os.sched_setaffinity(0, {worker_cpu})
         try:
             with tracer.span("fleet.start"):
@@ -176,6 +187,7 @@ class Serve:
 
     def finish(self, state: Dict) -> None:
         state["fleet"].close()
+        os.sched_setaffinity(0, CPUS)
 
     # ------------------------------------------------------------------
     # Request stream
@@ -311,17 +323,14 @@ class Serve:
     # Measurement
     # ------------------------------------------------------------------
 
-    def _warm_up(self, state: Dict, reserve: int, max_s: float = 4.0) -> None:
-        """Closed-loop replays until two consecutive rates agree."""
-        start = time.perf_counter()
-        rates: List[float] = []
-        while time.perf_counter() - start < max_s:
-            count, wall = self._closed_rep(state, reserve, None)
-            if not count:
-                return
-            rates.append(count / wall)
-            if len(rates) >= 3 and abs(rates[-1] - rates[-2]) <= 0.05 * rates[-2]:
-                return
+    def _host_factor(self) -> float:
+        """``harness.host_factor`` on ``probe_cpu``; the main thread
+        goes back to the parent's core afterwards."""
+        os.sched_setaffinity(0, {self.probe_cpu})
+        try:
+            return host_factor()
+        finally:
+            os.sched_setaffinity(0, {CPUS[0]})
 
     def _prepare_checks(self, state: Dict, reserve: int) -> None:
         """serve-cold: a seeded sample of the requests the measured
@@ -351,7 +360,7 @@ class Serve:
         tracing overhead).
         """
         reserve = self._reserve(seconds)
-        self._warm_up(state, reserve)
+        warm_up(lambda: self._closed_rep(state, reserve, None)[0])
         self._prepare_checks(state, reserve)
         tally = state["tally"]
         out: Dict[str, list] = {"closed": [], "plain": [], "hits": [], "deduped": []}
@@ -365,7 +374,7 @@ class Serve:
                     count, wall = self._closed_rep(state, reserve, tally)
                     out["plain"].append(wall / max(count, 1))
                 before = (tally.deduped, tally.cached, tally.attempted)
-                factor = host_factor()
+                factor = self._host_factor()
                 with tracer.span("rep") if tracer else nullcontext():
                     count, wall = self._closed_rep(state, reserve, tally, tracer)
                 if not count:
@@ -376,26 +385,25 @@ class Serve:
                 out["hits"].append(
                     (tally.cached - before[1]) / max(1, tally.attempted - before[2])
                 )
-            factor = host_factor()
+            factor = self._host_factor()
             with tracer.span("rep") if tracer else nullcontext():
                 opened = self._open_loop(state, OPEN_CHUNK_S, tally, chunk, tracer)
             chunk += 1
+            opened["raw_latency_s"] = opened["latency_s"]
             opened["latency_s"] = [latency * factor for latency in opened["latency_s"]]
             opened["chunk_p50_s"] = [float(np.median(opened["latency_s"]))]
             for key, values in opened.items():
                 out.setdefault(key, []).extend(values)
         state["raw_throughput_per_s"] = raw_rate(out["closed"])
         state["chunk_p50_ms"] = [v * 1e3 for v in out["chunk_p50_s"]]
-        state["pooled_p50_ms"] = float(np.median(out["latency_s"])) * 1e3
+        state["raw_p50_ms"] = float(np.median(out["raw_latency_s"])) * 1e3
         return out
 
     def measure(self, state: Dict, seconds: float) -> Dict[str, float]:
         out = self._cycles(state, seconds)
         return {
             "throughput_per_s": median_rate(out["closed"]),
-            # The median latency of the least disturbed chunk: host
-            # phases (see NOTES.md) only ever raise a chunk's median.
-            "p50_ms": min(out["chunk_p50_s"]) * 1e3,
+            "p50_ms": float(np.median(out["latency_s"])) * 1e3,
         }
 
     def trace(self, state: Dict, seconds: float, tracer: Tracer) -> Dict[str, float]:

@@ -133,6 +133,12 @@ class SweepSpace:
         build_config: knob values -> bare platform configuration, the
             cheap counterpart of ``build_accelerator`` the array-resident
             path uses (no executor / block construction per point).
+            Contract: a config depends on the knob setting only, never
+            on the corner.  The ``soa`` and ``batched`` strategies call
+            ``build_config`` / ``build_accelerator`` once per knob
+            setting, with a knob dict that has no ``corner`` entry, and
+            every corner of that setting shares the result; corners
+            reach the evaluator only as execution contexts.
     """
 
     name: str
@@ -240,19 +246,37 @@ def _physics_requests(accelerator: Accelerator) -> List[Tuple]:
 
 
 def _run_batched(
-    space: SweepSpace, evaluations: List[Tuple]
+    space: SweepSpace,
+    evaluations: List[Tuple],
+    positions: Optional[Sequence[int]] = None,
 ) -> List[SweepPoint]:
-    """The configuration-batched sweep path (see :func:`run_sweep`)."""
+    """The configuration-batched sweep path (see :func:`run_sweep`).
+
+    ``positions`` are the evaluations' indices in
+    ``space.evaluations()`` (default: all of it, in order); they name
+    each evaluation's knob setting.
+    """
     workload = space.build_workload()
     workload.materialize()  # once, shared by every point
 
-    accelerators = [
-        space.build_accelerator(knobs) for knobs, _, _ in evaluations
-    ]
+    # One accelerator and one config signature per knob setting, shared
+    # by the setting's corners (see SweepSpace.build_config).
+    settings = space.enumerate()
+    per_setting = max(1, len(space.corners))
+    if positions is None:
+        positions = range(len(evaluations))
+    setting_of = [position // per_setting for position in positions]
+    accelerators: Dict[int, Accelerator] = {}
+    config_reprs: Dict[int, str] = {}
+    for setting in setting_of:
+        if setting not in accelerators:
+            accelerator = space.build_accelerator(settings[setting])
+            accelerators[setting] = accelerator
+            config_reprs[setting] = repr(accelerator.config)
     # One vectorized kernel call computes every distinct array
     # geometry's device-physics curve before any point runs.
     requests = []
-    for accelerator in accelerators:
+    for accelerator in accelerators.values():
         requests.extend(_physics_requests(accelerator))
     prime_breakdown_cache(requests)
 
@@ -263,12 +287,12 @@ def _run_batched(
     # in label, e.g. duplicated corner axes, never re-run).
     groups: Dict[Tuple, List[int]] = {}
     signatures = []
-    for index, ((knobs, label, ctx), accelerator) in enumerate(
-        zip(evaluations, accelerators)
+    for index, ((_, _, ctx), setting) in enumerate(
+        zip(evaluations, setting_of)
     ):
         signature = (
-            type(accelerator).__name__,
-            repr(accelerator.config),
+            type(accelerators[setting]).__name__,
+            config_reprs[setting],
             _normalized_context(ctx),
         )
         signatures.append(signature)
@@ -276,8 +300,9 @@ def _run_batched(
 
     reports: Dict[Tuple, RunReport] = {}
     for signature, members in groups.items():
-        knobs, _, ctx = evaluations[members[0]]
-        reports[signature] = accelerators[members[0]].run(workload, ctx=ctx)
+        _, _, ctx = evaluations[members[0]]
+        accelerator = accelerators[setting_of[members[0]]]
+        reports[signature] = accelerator.run(workload, ctx=ctx)
     return [
         SweepPoint(label=label, knobs=knobs, report=reports[signature])
         for (knobs, label, _), signature in zip(evaluations, signatures)
@@ -300,11 +325,16 @@ def _soa_stack(
     evaluator = soa_evaluator(space.platform, workload.kind)
     if evaluator is None:
         return None
-    configs = [space.build_config(knobs) for knobs, _, _ in evaluations]
-    if not all(soa_config_supported(cfg) for cfg in configs):
+    # One config per knob setting, shared by the setting's corners
+    # (evaluations run in grid order, corners innermost).
+    settings = space.enumerate()
+    setting_configs = [space.build_config(knobs) for knobs in settings]
+    if not all(soa_config_supported(cfg) for cfg in setting_configs):
         # All registry backends (analytic, hbm, hbm-pim) are covered
         # today; the guard stays for third-party configs that opt out.
         return None
+    per_setting = max(1, len(space.corners))
+    configs = [cfg for cfg in setting_configs for _ in range(per_setting)]
     contexts = [_normalized_context(ctx) for _, _, ctx in evaluations]
     stacked = evaluator(configs, contexts, workload)
     stats = SoAStats(
@@ -569,7 +599,7 @@ def _process_chunk(payload) -> List[Tuple]:
     space = _resolve_space_factory(factory)(**kwargs)
     evaluations = space.evaluations()
     chunk = [evaluations[i] for i in indices]
-    points = _run_batched(space, chunk)
+    points = _run_batched(space, chunk, positions=indices)
     return [
         (index, point.label, point.knobs, point.report)
         for index, point in zip(indices, points)

@@ -187,10 +187,19 @@ def resolve_platform(name: str, kind: WorkloadKind) -> str:
         'tron'
     """
     if name == "auto":
-        graph_kinds = (WorkloadKind.GNN, WorkloadKind.TEMPORAL_GNN)
-        return "ghost" if kind in graph_kinds else "tron"
+        return auto_platform(kind)
     get_platform_info(name)  # validate eagerly, with the helpful error
     return name
+
+
+#: Workload kinds ``"auto"`` routes to GHOST: static and temporal graphs.
+GRAPH_KINDS = frozenset({WorkloadKind.GNN, WorkloadKind.TEMPORAL_GNN})
+
+
+def auto_platform(kind: WorkloadKind) -> str:
+    """The platform ``"auto"`` picks for a workload kind (no
+    validation: cheap enough for every served request)."""
+    return "ghost" if kind in GRAPH_KINDS else "tron"
 
 
 def platform_config(

@@ -60,6 +60,12 @@ def list_memory_backends() -> Tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
+def is_memory_backend(name: str) -> bool:
+    """Whether ``name`` is a registered backend (a plain membership
+    test, cheap enough for every config construction)."""
+    return name in _BACKENDS
+
+
 def build_memory_backend(
     name: str,
     system: MemorySystem,

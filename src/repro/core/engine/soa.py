@@ -22,9 +22,10 @@ look them up (returning ``None`` triggers the scalar fallback).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,97 +145,149 @@ def ceil_div(numerator: object, denominator: object) -> object:
     return -(-numerator // denominator)
 
 
-def group_indices(keys: Sequence[object]) -> Dict[object, List[int]]:
-    """Point indices grouped by a hashable per-point key, in first-seen
-    order (frozen config sub-objects hash fast — never use repr)."""
-    groups: Dict[object, List[int]] = {}
-    for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-    return groups
+def distinct_index(
+    items: Sequence[object],
+    bucket: Optional[Callable[[object], Hashable]] = None,
+) -> Tuple[List[object], np.ndarray]:
+    """The distinct values of ``items`` and each item's index into them.
+
+    Without ``bucket``, items are hashable and match by value.  With
+    it, items match by identity first, then by ``==`` among the items
+    that share a bucket — ``bucket`` maps an item to a cheap hashable
+    key that equal items share — so a batch that repeats one unhashable
+    object (a sweep setting's corners, a Monte-Carlo replay) pays one
+    dictionary probe per repeat.  Distinct values keep first-seen order.
+    """
+    if bucket is None:
+        by_value: Dict[Hashable, int] = {}
+        codes = [by_value.setdefault(item, len(by_value)) for item in items]
+        return list(by_value), np.array(codes, dtype=np.int64)
+    distinct: List[object] = []
+    codes = []
+    by_id: Dict[int, int] = {}
+    buckets: Dict[Hashable, List[int]] = {}
+    for item in items:
+        code = by_id.get(id(item))
+        if code is None:
+            candidates = buckets.setdefault(bucket(item), [])
+            code = next((c for c in candidates if distinct[c] == item), None)
+            if code is None:
+                code = len(distinct)
+                distinct.append(item)
+                candidates.append(code)
+            by_id[id(item)] = code
+        codes.append(code)
+    return distinct, np.array(codes, dtype=np.int64)
+
+
+def group_indices(*codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Points grouped by equal tuples of non-negative int codes.
+
+    Returns ``(first, inverse)``: the first point of every group, in
+    first-seen order, and each point's group number — a group's value
+    computes once at its first point and gathers back as
+    ``values[inverse]``.
+    """
+    key = codes[0]
+    for code in codes[1:]:
+        key = key * (int(code.max(initial=0)) + 1) + code
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def group_members(inverse: np.ndarray) -> List[np.ndarray]:
+    """The point indices of every group of :func:`group_indices`."""
+    order = np.argsort(inverse, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
 
 
 def resolve_array_physics(
     specs: Sequence[ArraySpec],
+    spec_index: np.ndarray,
     contexts: Sequence[Optional[ExecutionContext]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    context_index: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Yield-gated array dimensions and correction power, per point.
 
-    Returns ``(usable_rows, usable_cols, correction_power_mw)`` columns.
-    Nominal points keep the spec dimensions and zero correction power.
+    ``specs`` / ``contexts`` are distinct values and the index columns
+    map each point to them.  Returns ``(usable_rows, usable_cols,
+    correction_power_mw, groups)``: three per-point columns plus the
+    number of distinct (spec, context) pairs.  Nominal points keep the
+    spec dimensions and zero correction power.
 
     Raises:
         YieldError: with the scalar path's exact message, if any point's
             die has no usable hardware (matching ``ArrayExecutor.cycles_for``).
     """
-    n = len(specs)
-    usable_rows = np.empty(n, dtype=np.int64)
-    usable_cols = np.empty(n, dtype=np.int64)
-    correction = np.empty(n, dtype=float)
-    cache: Dict[object, Tuple[int, int, float]] = {}
-    for i, (spec, ctx) in enumerate(zip(specs, contexts)):
-        key = (spec, ctx)
-        resolved = cache.get(key)
-        if resolved is None:
-            physics = context_physics(spec, ctx)
-            if physics is None:
-                resolved = (spec.rows, spec.cols, 0.0)
-            else:
-                if not physics.functional:
-                    raise YieldError(
-                        f"sampled die has no usable {spec.rows}x"
-                        f"{spec.cols} array hardware "
-                        f"({physics.usable_rows}x{physics.usable_cols}"
-                        " usable)"
-                    )
-                resolved = (
-                    physics.usable_rows,
-                    physics.usable_cols,
-                    physics.correction_power_mw,
-                )
-            cache[key] = resolved
-        usable_rows[i] = resolved[0]
-        usable_cols[i] = resolved[1]
-        correction[i] = resolved[2]
-    return usable_rows, usable_cols, correction
+    first, inverse = group_indices(spec_index, context_index)
+    rows, cols, correction = [], [], []
+    for i in first:
+        spec = specs[spec_index[i]]
+        physics = context_physics(spec, contexts[context_index[i]])
+        if physics is None:
+            rows.append(spec.rows)
+            cols.append(spec.cols)
+            correction.append(0.0)
+            continue
+        if not physics.functional:
+            raise YieldError(
+                f"sampled die has no usable {spec.rows}x"
+                f"{spec.cols} array hardware "
+                f"({physics.usable_rows}x{physics.usable_cols}"
+                " usable)"
+            )
+        rows.append(physics.usable_rows)
+        cols.append(physics.usable_cols)
+        correction.append(physics.correction_power_mw)
+    return (
+        np.array(rows, dtype=np.int64)[inverse],
+        np.array(cols, dtype=np.int64)[inverse],
+        np.array(correction, dtype=float)[inverse],
+        len(first),
+    )
 
 
 def breakdown_columns(
     specs: Sequence[ArraySpec],
-    refresh: Sequence[int],
+    spec_index: np.ndarray,
+    refresh: np.ndarray,
+    config_index: np.ndarray,
     correction_power_mw: np.ndarray,
     cycle_ns: np.ndarray,
     average_weight_magnitude: float = 0.5,
 ) -> Dict[str, np.ndarray]:
     """Per-cycle energy breakdown columns for a batch of points.
 
-    One memoized :func:`nominal_breakdown_pj` read per distinct
-    ``(spec, refresh)`` pair, broadcast across its points; the context's
-    correction tuning power is added per point exactly as the scalar
-    executor does (``tuning += correction_power_mw * cycle_ns``, which
-    is an exact no-op for nominal points where the correction is zero).
+    ``spec_index`` and ``refresh`` are per distinct config and
+    ``config_index`` maps points to configs.  One memoized
+    :func:`nominal_breakdown_pj` read per distinct ``(spec, refresh)``
+    pair, gathered to its points; the context's correction tuning power
+    is added per point exactly as the scalar executor does
+    (``tuning += correction_power_mw * cycle_ns``, which is an exact
+    no-op for nominal points where the correction is zero).
     """
-    n = len(specs)
-    columns = {
-        name: np.empty(n)
-        for name in ("laser_pj", "tuning_pj", "dac_pj", "adc_pj")
-    }
-    groups = group_indices(
-        [(spec, int(r)) for spec, r in zip(specs, refresh)]
-    )
+    _, refresh_code = np.unique(refresh, return_inverse=True)
+    first, inverse = group_indices(spec_index, refresh_code)
+    pairs = [(specs[spec_index[i]], int(refresh[i])) for i in first]
     prime_breakdown_cache(
-        [
-            (spec, average_weight_magnitude, window)
-            for spec, window in groups
-        ]
+        [(spec, average_weight_magnitude, window) for spec, window in pairs]
     )
-    for (spec, window), indices in groups.items():
-        breakdown = nominal_breakdown_pj(
+    breakdowns = [
+        nominal_breakdown_pj(
             spec,
             average_weight_magnitude=average_weight_magnitude,
             weight_refresh_cycles=window,
         )
-        for name in columns:
-            columns[name][indices] = breakdown[name]
+        for spec, window in pairs
+    ]
+    point_group = inverse[config_index]
+    columns = {
+        name: np.array([b[name] for b in breakdowns], dtype=float)[point_group]
+        for name in ("laser_pj", "tuning_pj", "dac_pj", "adc_pj")
+    }
     columns["tuning_pj"] = (
         columns["tuning_pj"] + correction_power_mw * cycle_ns
     )
@@ -260,6 +313,161 @@ def memory_context_key(
     if ctx is not None and ctx.affects_memory:
         return ctx
     return None
+
+
+def _scalar_fields() -> Callable[[object], Hashable]:
+    """A cheap bucket key equal configs share: their scalar attribute
+    values (nested device models are left to ``==``).  The attribute
+    names are read once per config type."""
+    getters: Dict[type, Callable[[object], Hashable]] = {}
+
+    def bucket(config: object) -> Hashable:
+        getter = getters.get(type(config))
+        if getter is None:
+            names = [
+                name
+                for name, value in vars(config).items()
+                if isinstance(value, (int, float, str))
+            ]
+            getter = operator.attrgetter(*names) if names else type
+            getters[type(config)] = getter
+        return getter(config)
+
+    return bucket
+
+
+class ConfigColumns:
+    """A batch of (config, context) points, coded by distinct value.
+
+    Every point maps to a distinct configuration (``config_index``) and
+    a distinct context (``context_index``).  Specs, knob columns and
+    grouping keys compute once per distinct config and gather to the
+    points by index, so a sweep setting's corners — or a Monte-Carlo
+    replay of one config — pay for their config once, and every
+    grouping runs over small int codes instead of per-point hashes of
+    frozen device models.  Platform evaluators subclass it with their
+    own knob columns.
+
+    Attributes:
+        configs / contexts: the distinct values, in first-seen order.
+        config_index / context_index: each point's index into them.
+        n: number of points.
+        specs: the distinct array specs.
+        usable_rows / usable_cols / cycle_ns / activation_power /
+            static_mw / breakdown: per-point columns.
+        bits: per-point operand precision.
+        memory_contexts / memory_context_index: the distinct
+            memory-relevant contexts and each point's index into them.
+        groups: distinct (array spec, context) pairs.
+    """
+
+    def __init__(
+        self,
+        configs: Sequence[object],
+        contexts: Sequence[Optional[ExecutionContext]],
+    ) -> None:
+        self.configs, self.config_index = distinct_index(
+            configs, bucket=_scalar_fields()
+        )
+        self.contexts, self.context_index = distinct_index(
+            contexts, bucket=hash
+        )
+        self.n = len(self.config_index)
+        self.specs, spec_code = distinct_index(
+            [self.array_spec(cfg) for cfg in self.configs]
+        )
+        (
+            self.usable_rows,
+            self.usable_cols,
+            correction,
+            self.groups,
+        ) = resolve_array_physics(
+            self.specs,
+            spec_code[self.config_index],
+            self.contexts,
+            self.context_index,
+        )
+        self.cycle_ns = self.per_config([cfg.cycle_ns for cfg in self.configs])
+        self.activation_power = self.per_config(
+            [cfg.activation.power_mw for cfg in self.configs]
+        )
+        self.bits = [
+            self.configs[i].bits for i in self.config_index.tolist()
+        ]
+        self.static_mw = self.per_config(
+            [
+                cfg.control.power_mw + cfg.memory.global_buffer.leakage_mw
+                for cfg in self.configs
+            ]
+        )
+        self.breakdown = breakdown_columns(
+            self.specs,
+            spec_code,
+            np.array([cfg.weight_refresh_cycles for cfg in self.configs]),
+            self.config_index,
+            correction,
+            self.cycle_ns,
+        )
+        self.memory_contexts, memory_code = distinct_index(
+            [memory_context_key(ctx) for ctx in self.contexts]
+        )
+        self.memory_context_index = memory_code[self.context_index]
+
+    @staticmethod
+    def array_spec(config: object) -> ArraySpec:
+        """The array spec of one config."""
+        return ArraySpec.from_config(config)
+
+    def per_config(self, values: Sequence[object], dtype=float) -> np.ndarray:
+        """One value per distinct config, as a per-point column."""
+        return np.asarray(values, dtype=dtype)[self.config_index]
+
+    def config_codes(
+        self, keys: Sequence[Hashable]
+    ) -> Tuple[List[Hashable], np.ndarray]:
+        """Distinct values of a per-config key, and each point's index
+        into them."""
+        distinct, code = distinct_index(keys)
+        return distinct, code[self.config_index]
+
+    def tile_cycles(self, out_rows: int, inner: int) -> np.ndarray:
+        """Per-point cycles for one (out_rows x inner) output column
+        (``ArrayExecutor.cycles_for`` with batch=1)."""
+        if out_rows < 1 or inner < 1:
+            raise ConfigurationError(
+                f"matmul dims must be >= 1, got {out_rows}x{inner}"
+            )
+        return ceil_div(out_rows, self.usable_rows) * ceil_div(
+            inner, self.usable_cols
+        )
+
+    def op_counts(
+        self, count: Callable[[int], object]
+    ) -> Tuple[List[object], np.ndarray]:
+        """``count(bits)`` once per distinct precision: the op counts
+        and each point's index into them."""
+        bits, index = self.config_codes([cfg.bits for cfg in self.configs])
+        return [count(b) for b in bits], index
+
+    def stack(
+        self,
+        platform: str,
+        workload: str,
+        ops: Sequence[object],
+        ops_index: np.ndarray,
+        latency: ColumnLatency,
+        energy: ColumnEnergy,
+    ) -> StackedRunReports:
+        """The batch's stacked reports."""
+        return StackedRunReports(
+            platform=platform,
+            workload=workload,
+            ops=[ops[i] for i in ops_index.tolist()],
+            latency=latency.as_arrays(self.n),
+            energy=energy.as_arrays(self.n),
+            bits_per_value=self.bits,
+            groups=self.groups,
+        )
 
 
 def soa_config_supported(config: object) -> bool:
@@ -316,56 +524,42 @@ def unique_traffic_columns(
 
 
 def weight_stream_columns(
-    memory_systems: Sequence[object],
-    contexts: Sequence[Optional[ExecutionContext]],
-    ops_list: Sequence[object],
-    bits: Sequence[int],
+    cols: ConfigColumns,
+    ops: Sequence[object],
+    ops_index: np.ndarray,
     compute_ns: np.ndarray,
     batch: np.ndarray,
-    backends: Optional[Sequence[str]] = None,
-    geometries: Optional[Sequence[Optional[HBMGeometry]]] = None,
 ) -> Tuple[ColumnEnergy, ColumnLatency]:
     """Column counterpart of ``MemoryModel.weight_stream_cost``.
 
-    Points group by the model key — (memory system, memory-relevant
-    context, backend, geometry) — and each group prices its whole
-    column of weight/bounce byte counts through one vectorized
-    primitive call (the ``*_batch`` methods are elementwise
+    Points group by the model key — (memory system, backend, geometry)
+    of their config and their memory-relevant context — and each group
+    prices its whole column of weight/bounce byte counts through one
+    vectorized primitive call (the ``*_batch`` methods are elementwise
     bit-identical to their scalar forms); batch amortization and
     compute overlap are per-point column arithmetic in the scalar
-    path's exact order.  ``bits`` rides along for signature stability
-    only — operand precision is already folded into the per-point byte
-    counts.  ``backends``/``geometries`` default to the pre-registry
-    analytic model for every point.
+    path's exact order.  ``ops`` are the distinct op counts and
+    ``ops_index`` maps points to them.
     """
-    n = len(ops_list)
-    if backends is None:
-        backends = ["analytic"] * n
-    if geometries is None:
-        geometries = [None] * n
-    weight_bytes = np.fromiter(
-        (ops.weight_bytes for ops in ops_list), dtype=np.int64, count=n
-    )
-    bounce_bytes = np.fromiter(
-        (2 * ops.activation_bytes for ops in ops_list),
-        dtype=np.int64,
-        count=n,
-    )
+    n = cols.n
+    weight_bytes = np.array(
+        [count.weight_bytes for count in ops], dtype=np.int64
+    )[ops_index]
+    bounce_bytes = np.array(
+        [2 * count.activation_bytes for count in ops], dtype=np.int64
+    )[ops_index]
     weight_e = np.empty(n)
     weight_l = np.empty(n)
     bounce_e = np.empty(n)
     bounce_l = np.empty(n)
-    keys = [
-        (system, memory_context_key(ctx), backend, geometry)
-        for system, ctx, backend, geometry in zip(
-            memory_systems, contexts, backends, geometries
-        )
-    ]
-    for (system, mem_ctx, backend, geometry), indices in group_indices(
-        keys
-    ).items():
+    keys, key_index = cols.config_codes(
+        [(cfg.memory, cfg.memory_backend, cfg.hbm) for cfg in cols.configs]
+    )
+    first, inverse = group_indices(key_index, cols.memory_context_index)
+    for i, idx in zip(first, group_members(inverse)):
+        system, backend, geometry = keys[key_index[i]]
+        mem_ctx = cols.memory_contexts[cols.memory_context_index[i]]
         model = build_soa_memory_model(backend, system, mem_ctx, geometry)
-        idx = np.asarray(indices)
         we, wl = unique_traffic_columns(
             model.stream_offchip_batch, weight_bytes[idx]
         )

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.engine.hbm.geometry import HBMGeometry
-from repro.core.engine.membackend import list_memory_backends
+from repro.core.engine.membackend import (
+    is_memory_backend,
+    list_memory_backends,
+)
 from repro.core.serialization import config_from_dict, config_to_dict
 from repro.electronics.digital import ControlUnit, SoftmaxLUT
 from repro.electronics.memory import HBMChannel, MemorySystem, SRAMBuffer
@@ -127,7 +130,7 @@ class GHOSTConfig:
             raise ConfigurationError(
                 f"weight DAC sharing must be >= 1, got {self.weight_dac_sharing}"
             )
-        if self.memory_backend not in list_memory_backends():
+        if not is_memory_backend(self.memory_backend):
             raise ConfigurationError(
                 f"unknown memory backend {self.memory_backend!r}; "
                 "registered backends: "

@@ -33,14 +33,12 @@ from repro.core.engine.matmul import ArraySpec
 from repro.core.engine.soa import (
     ColumnEnergy,
     ColumnLatency,
-    breakdown_columns,
+    ConfigColumns,
     build_soa_memory_model,
     ceil_div,
     energy_for_cycles_columns,
     group_indices,
-    memory_context_key,
     register_soa_evaluator,
-    resolve_array_physics,
     weight_stream_columns,
 )
 from repro.core.ghost.config import GHOSTConfig
@@ -51,7 +49,7 @@ from repro.nn.gnn import Reduction
 from repro.photonics.summation import CoherentSummationUnit, OpticalComparator
 
 
-class _GhostColumns:
+class _GhostColumns(ConfigColumns):
     """Per-point knob columns plus grouped physics for a GHOST batch."""
 
     def __init__(
@@ -59,56 +57,22 @@ class _GhostColumns:
         configs: Sequence[GHOSTConfig],
         contexts: Sequence[Optional[ExecutionContext]],
     ) -> None:
-        self.configs = configs
-        self.contexts = contexts
-        self.n = len(configs)
-        self.specs = [
-            ArraySpec.from_config(
-                cfg, weight_dacs_shared=cfg.weight_dac_sharing
-            )
-            for cfg in configs
-        ]
-        self.usable_rows, self.usable_cols, correction = resolve_array_physics(
-            self.specs, contexts
+        super().__init__(configs, contexts)
+        self.lanes = self.per_config(
+            [cfg.lanes for cfg in self.configs], np.int64
         )
-        self.cycle_ns = np.array([cfg.cycle_ns for cfg in configs])
-        self.lanes = np.array([cfg.lanes for cfg in configs], dtype=np.int64)
-        self.activation_power = np.array(
-            [cfg.activation.power_mw for cfg in configs]
+        self.feature_lanes = self.per_config(
+            [cfg.feature_lanes for cfg in self.configs], np.int64
         )
-        self.bits = [cfg.bits for cfg in configs]
-        self.static_mw = np.array(
-            [
-                cfg.control.power_mw + cfg.memory.global_buffer.leakage_mw
-                for cfg in configs
-            ]
-        )
-        self.breakdown = breakdown_columns(
-            self.specs,
-            [cfg.weight_refresh_cycles for cfg in configs],
-            correction,
-            self.cycle_ns,
-        )
-        self.groups = len(set(zip(self.specs, contexts)))
-
-    def tile_cycles(self, out_rows: int, inner: int) -> np.ndarray:
-        """Per-point cycles for one vertex/sample transform
-        (``ArrayExecutor.cycles_for`` with batch=1)."""
-        if out_rows < 1 or inner < 1:
-            raise ConfigurationError(
-                f"matmul dims must be >= 1, got {out_rows}x{inner}"
-            )
-        return ceil_div(out_rows, self.usable_rows) * ceil_div(
-            inner, self.usable_cols
+        self.pim = self.per_config(
+            [cfg.memory_backend == "hbm-pim" for cfg in self.configs], bool
         )
 
-    def ops_per_point(self, count) -> list:
-        ops_list: list = [None] * self.n
-        for bits, indices in group_indices(self.bits).items():
-            ops = count(bits)
-            for i in indices:
-                ops_list[i] = ops
-        return ops_list
+    @staticmethod
+    def array_spec(config: GHOSTConfig) -> ArraySpec:
+        return ArraySpec.from_config(
+            config, weight_dacs_shared=config.weight_dac_sharing
+        )
 
 
 class _AggregateColumns:
@@ -130,25 +94,29 @@ class _AggregateColumns:
         self._neighbour_passes: Dict[int, np.ndarray] = {}
         self._sorted_passes: Dict[int, np.ndarray] = {}
         self._head_sums: Dict[Tuple[int, int], int] = {}
-        self.latency_keys = [
-            (
-                cfg.edge_units,
-                cfg.feature_lanes,
-                cfg.lanes,
-                cfg.use_balancing,
-            )
-            for cfg in cols.configs
-        ]
-        self.energy_keys = [
-            (
-                cfg.edge_units,
-                cfg.feature_lanes,
-                cfg.clock_ghz,
-                cfg.dac,
-                cfg.adc,
-            )
-            for cfg in cols.configs
-        ]
+        self.latency_keys, self.latency_index = cols.config_codes(
+            [
+                (
+                    cfg.edge_units,
+                    cfg.feature_lanes,
+                    cfg.lanes,
+                    cfg.use_balancing,
+                )
+                for cfg in cols.configs
+            ]
+        )
+        self.energy_keys, self.energy_index = cols.config_codes(
+            [
+                (
+                    cfg.edge_units,
+                    cfg.feature_lanes,
+                    cfg.clock_ghz,
+                    cfg.dac,
+                    cfg.adc,
+                )
+                for cfg in cols.configs
+            ]
+        )
 
     def neighbour_passes(self, edge_units: int) -> np.ndarray:
         passes = self._neighbour_passes.get(edge_units)
@@ -175,41 +143,34 @@ class _AggregateColumns:
 
     def latency_cycles(self, feature_dim: int) -> np.ndarray:
         """``AggregateBlock.layer_cost`` latency cycles, per point."""
-        out = np.empty(self.cols.n)
-        for (
-            (edge_units, feature_lanes, lanes, balanced),
-            indices,
-        ) in group_indices(self.latency_keys).items():
+        cycles = []
+        for edge_units, feature_lanes, lanes, balanced in self.latency_keys:
             feature_passes = -(-feature_dim // feature_lanes)
             if balanced:
-                cycles = float(
-                    self.head_sum(edge_units, lanes) * feature_passes
+                cycles.append(
+                    float(self.head_sum(edge_units, lanes) * feature_passes)
                 )
-            else:
-                per_node = np.where(
-                    self.degrees > 0,
-                    self.neighbour_passes(edge_units) * feature_passes,
-                    0,
-                ).astype(float)
-                num_waves = -(-len(per_node) // lanes)
-                padded = np.zeros(num_waves * lanes)
-                padded[: len(per_node)] = per_node
-                cycles = float(
-                    padded.reshape(num_waves, lanes).max(axis=1).sum()
-                )
-            out[indices] = cycles
-        return out
+                continue
+            per_node = np.where(
+                self.degrees > 0,
+                self.neighbour_passes(edge_units) * feature_passes,
+                0,
+            ).astype(float)
+            num_waves = -(-len(per_node) // lanes)
+            padded = np.zeros(num_waves * lanes)
+            padded[: len(per_node)] = per_node
+            cycles.append(
+                float(padded.reshape(num_waves, lanes).max(axis=1).sum())
+            )
+        return np.array(cycles, dtype=float)[self.latency_index]
 
     def energy_columns(
         self, feature_dim: int, reduction: Reduction
     ) -> ColumnEnergy:
         """``AggregateBlock.layer_cost`` energy, per point."""
-        laser = np.empty(self.cols.n)
-        gather = np.empty(self.cols.n)
-        for (
-            (edge_units, feature_lanes, clock_ghz, dac, adc),
-            indices,
-        ) in group_indices(self.energy_keys).items():
+        laser = []
+        gather = []
+        for edge_units, feature_lanes, clock_ghz, dac, adc in self.energy_keys:
             feature_passes = math.ceil(feature_dim / feature_lanes)
             total_arm_ops = self.degree_sum * feature_passes
             summer = CoherentSummationUnit(
@@ -226,26 +187,26 @@ class _AggregateColumns:
                 )
             else:
                 reduce_pj = total_arm_ops * per_arm_pj
-            laser[indices] = reduce_pj
-            gather[indices] = (
+            laser.append(reduce_pj)
+            gather.append(
                 float(self.degree_sum)
                 * feature_dim
                 * dac.energy_per_conversion_pj
             )
-        return ColumnEnergy(laser_pj=laser, dac_pj=gather)
+        index = self.energy_index
+        return ColumnEnergy(
+            laser_pj=np.array(laser, dtype=float)[index],
+            dac_pj=np.array(gather, dtype=float)[index],
+        )
 
 
 def _softmax_columns(
     cols: _GhostColumns, elements: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    latency = np.empty(cols.n)
-    energy = np.empty(cols.n)
-    for lut, indices in group_indices(
-        [cfg.softmax for cfg in cols.configs]
-    ).items():
-        latency[indices] = lut.latency_ns(elements)
-        energy[indices] = lut.energy_pj(elements)
-    return latency, energy
+    luts, index = cols.config_codes([cfg.softmax for cfg in cols.configs])
+    latency = np.array([lut.latency_ns(elements) for lut in luts], float)
+    energy = np.array([lut.energy_pj(elements) for lut in luts], float)
+    return latency[index], energy[index]
 
 
 def _memory_cost_columns(
@@ -258,24 +219,27 @@ def _memory_cost_columns(
     features and edge indices are reduced near the banks and only the
     layer's results bounce through the global buffer.
     """
-    memory_pj = np.empty(cols.n)
-    memory_ns = np.empty(cols.n)
-    keys = [
-        (
-            cfg.memory,
-            cfg.bits,
-            cfg.use_partitioning,
-            cfg.random_access_penalty,
-            memory_context_key(ctx),
-            cfg.memory_backend,
-            cfg.hbm,
-        )
-        for cfg, ctx in zip(cols.configs, cols.contexts)
-    ]
-    for (
-        (memory, bits, partitioned, penalty, mem_ctx, backend, geometry),
-        indices,
-    ) in group_indices(keys).items():
+    keys, key_index = cols.config_codes(
+        [
+            (
+                cfg.memory,
+                cfg.bits,
+                cfg.use_partitioning,
+                cfg.random_access_penalty,
+                cfg.memory_backend,
+                cfg.hbm,
+            )
+            for cfg in cols.configs
+        ]
+    )
+    first, inverse = group_indices(key_index, cols.memory_context_index)
+    memory_pj = []
+    memory_ns = []
+    for i in first:
+        memory, bits, partitioned, penalty, backend, geometry = keys[
+            key_index[i]
+        ]
+        mem_ctx = cols.memory_contexts[cols.memory_context_index[i]]
         bytes_per_value = bits // 8 or 1
         model = build_soa_memory_model(backend, memory, mem_ctx, geometry)
         if getattr(model, "pim_active", False):
@@ -288,8 +252,8 @@ def _memory_cost_columns(
             writeback = model.bounce_onchip(
                 graph.num_nodes * out_dim * bytes_per_value
             )
-            memory_pj[indices] = reduce.energy_pj + writeback.energy_pj
-            memory_ns[indices] = reduce.latency_ns + writeback.latency_ns
+            memory_pj.append(reduce.energy_pj + writeback.energy_pj)
+            memory_ns.append(reduce.latency_ns + writeback.latency_ns)
             continue
         if partitioned:
             accumulator_bytes = graph.num_nodes * out_dim * bytes_per_value
@@ -309,11 +273,11 @@ def _memory_cost_columns(
             blocked=partitioned,
             random_access_penalty=penalty,
         )
-        memory_pj[indices] = energy.memory_pj
-        memory_ns[indices] = latency.memory_ns
+        memory_pj.append(energy.memory_pj)
+        memory_ns.append(latency.memory_ns)
     return (
-        ColumnEnergy(memory_pj=memory_pj),
-        ColumnLatency(memory_ns=memory_ns),
+        ColumnEnergy(memory_pj=np.array(memory_pj, dtype=float)[inverse]),
+        ColumnLatency(memory_ns=np.array(memory_ns, dtype=float)[inverse]),
     )
 
 
@@ -333,11 +297,8 @@ def evaluate_gnn(
     # stage on the photonic side (its energy is zero and its latency
     # leaves the stage pipeline) — both pipeline variants are evaluated
     # as columns and selected per point, matching the scalar branch.
-    pim_mask = np.fromiter(
-        (cfg.memory_backend == "hbm-pim" for cfg in configs),
-        dtype=bool,
-        count=cols.n,
-    )
+    pim_mask = cols.pim
+    per_wave_elements = cols.lanes * cols.feature_lanes
 
     total_latency = ColumnLatency()
     total_energy = ColumnEnergy()
@@ -367,9 +328,6 @@ def evaluate_gnn(
         )
 
         elements = graph.num_nodes * d_out
-        per_wave_elements = cols.lanes * np.array(
-            [cfg.feature_lanes for cfg in configs], dtype=np.int64
-        )
         update_waves = np.ceil(elements / per_wave_elements)
         update_compute_ns = update_waves * cols.cycle_ns
         soa_pj = elements * cols.activation_power * cols.cycle_ns
@@ -414,17 +372,12 @@ def evaluate_gnn(
 
     static_pj = cols.static_mw * total_latency.total
     total_energy = total_energy + ColumnEnergy(static_pj=static_pj)
-    ops_list = cols.ops_per_point(
+    op_counts, ops_index = cols.op_counts(
         lambda bits: gnn_op_count(model, graph, bytes_per_value=bits // 8 or 1)
     )
-    return StackedRunReports(
-        platform="GHOST",
-        workload=workload.name,
-        ops=ops_list,
-        latency=total_latency.as_arrays(cols.n),
-        energy=total_energy.as_arrays(cols.n),
-        bits_per_value=cols.bits,
-        groups=cols.groups,
+    return cols.stack(
+        "GHOST", workload.name, op_counts, ops_index, total_latency,
+        total_energy,
     )
 
 
@@ -457,18 +410,15 @@ def evaluate_mlp(
         total_cycles, cols.breakdown
     ) + ColumnEnergy(activation_pj=soa_pj)
 
-    ops_list = cols.ops_per_point(
+    ops, ops_index = cols.op_counts(
         lambda bits: workload.op_count(bytes_per_value=bits // 8 or 1)
     )
     memory_energy, memory_latency = weight_stream_columns(
-        [cfg.memory for cfg in configs],
-        contexts,
-        ops_list,
-        cols.bits,
+        cols,
+        ops,
+        ops_index,
         compute_latency.total,
         np.ones(cols.n, dtype=np.int64),
-        backends=[cfg.memory_backend for cfg in configs],
-        geometries=[cfg.hbm for cfg in configs],
     )
     latency = compute_latency + memory_latency
     static_pj = cols.static_mw * latency.total
@@ -477,15 +427,7 @@ def evaluate_mlp(
         + memory_energy
         + ColumnEnergy(static_pj=static_pj)
     )
-    return StackedRunReports(
-        platform="GHOST",
-        workload=workload.name,
-        ops=ops_list,
-        latency=latency.as_arrays(cols.n),
-        energy=energy.as_arrays(cols.n),
-        bits_per_value=cols.bits,
-        groups=cols.groups,
-    )
+    return cols.stack("GHOST", workload.name, ops, ops_index, latency, energy)
 
 
 register_soa_evaluator("GHOST", WorkloadKind.GNN, evaluate_gnn)

@@ -23,18 +23,15 @@ import numpy as np
 
 from repro.core.base import WorkloadKind
 from repro.core.context import ExecutionContext
-from repro.core.engine.matmul import ArraySpec
 from repro.core.engine.soa import (
     ColumnEnergy,
     ColumnLatency,
-    breakdown_columns,
+    ConfigColumns,
     build_soa_memory_model,
     ceil_div,
     energy_for_cycles_columns,
     group_indices,
-    memory_context_key,
     register_soa_evaluator,
-    resolve_array_physics,
     weight_stream_columns,
 )
 from repro.core.reports import StackedRunReports
@@ -45,7 +42,7 @@ from repro.nn.transformer import TransformerKind
 from repro.photonics.summation import CoherentSummationUnit
 
 
-class _TronColumns:
+class _TronColumns(ConfigColumns):
     """Per-point knob columns plus grouped physics for a TRON batch."""
 
     def __init__(
@@ -53,75 +50,32 @@ class _TronColumns:
         configs: Sequence[TRONConfig],
         contexts: Sequence[Optional[ExecutionContext]],
     ) -> None:
-        self.configs = configs
-        self.n = len(configs)
-        self.specs = [ArraySpec.from_config(cfg) for cfg in configs]
-        self.usable_rows, self.usable_cols, correction = resolve_array_physics(
-            self.specs, contexts
+        super().__init__(configs, contexts)
+        self.head_units = self.per_config(
+            [cfg.num_head_units for cfg in self.configs], np.int64
         )
-        self.cycle_ns = np.array([cfg.cycle_ns for cfg in configs])
-        self.head_units = np.array(
-            [cfg.num_head_units for cfg in configs], dtype=np.int64
+        self.linear_arrays = self.per_config(
+            [cfg.num_linear_arrays for cfg in self.configs], np.int64
         )
-        self.linear_arrays = np.array(
-            [cfg.num_linear_arrays for cfg in configs], dtype=np.int64
+        self.ff_arrays = self.per_config(
+            [cfg.num_ff_arrays for cfg in self.configs], np.int64
         )
-        self.ff_arrays = np.array(
-            [cfg.num_ff_arrays for cfg in configs], dtype=np.int64
+        self.batch = self.per_config(
+            [cfg.batch for cfg in self.configs], np.int64
         )
-        self.batch = np.array([cfg.batch for cfg in configs], dtype=np.int64)
-        self.activation_power = np.array(
-            [cfg.activation.power_mw for cfg in configs]
+        self.offload = self.per_config(
+            [cfg.memory_backend == "hbm-pim" for cfg in self.configs], bool
         )
-        self.bits = [cfg.bits for cfg in configs]
-        self.static_mw = np.array(
-            [
-                cfg.control.power_mw + cfg.memory.global_buffer.leakage_mw
-                for cfg in configs
-            ]
-        )
-        self.breakdown = breakdown_columns(
-            self.specs,
-            [cfg.weight_refresh_cycles for cfg in configs],
-            correction,
-            self.cycle_ns,
-        )
-        self.groups = len(set(zip(self.specs, contexts)))
-
-    def tile_cycles(self, out_rows: int, inner: int) -> np.ndarray:
-        """Per-point cycles for one (out_rows x inner) output column
-        (``ArrayExecutor.cycles_for`` with batch=1)."""
-        if out_rows < 1 or inner < 1:
-            raise ConfigurationError(
-                f"matmul dims must be >= 1, got {out_rows}x{inner}"
-            )
-        return ceil_div(out_rows, self.usable_rows) * ceil_div(
-            inner, self.usable_cols
-        )
-
-    def ops_per_point(self, count) -> Tuple[list, int]:
-        """Per-point op counts (one shared object per distinct precision)."""
-        ops_list: list = [None] * self.n
-        groups = group_indices(self.bits)
-        for bits, indices in groups.items():
-            ops = count(bits)
-            for i in indices:
-                ops_list[i] = ops
-        return ops_list, len(groups)
 
 
 def _softmax_columns(
     cols: _TronColumns, latency_items: int, energy_elements: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Softmax LUT latency / energy, once per distinct LUT config."""
-    latency = np.empty(cols.n)
-    energy = np.empty(cols.n)
-    for lut, indices in group_indices(
-        [cfg.softmax for cfg in cols.configs]
-    ).items():
-        latency[indices] = lut.latency_ns(latency_items)
-        energy[indices] = lut.energy_pj(energy_elements)
-    return latency, energy
+    luts, index = cols.config_codes([cfg.softmax for cfg in cols.configs])
+    latency = np.array([lut.latency_ns(latency_items) for lut in luts], float)
+    energy = np.array([lut.energy_pj(energy_elements) for lut in luts], float)
+    return latency[index], energy[index]
 
 
 def _head_cost_columns(
@@ -191,13 +145,13 @@ def _head_cost_columns(
 
 def _residual_adder_columns(cols: _TronColumns) -> np.ndarray:
     """Per-operation coherent-adder energy, once per distinct clock."""
-    adder_pj = np.empty(cols.n)
-    for clock_ghz, indices in group_indices(
-        [cfg.clock_ghz for cfg in cols.configs]
-    ).items():
-        adder = CoherentSummationUnit(fan_in=2, clock_ghz=clock_ghz)
-        adder_pj[indices] = adder.operation_energy_pj(active_arms=2)
-    return adder_pj
+    clocks, index = cols.config_codes([cfg.clock_ghz for cfg in cols.configs])
+    adder_pj = [
+        CoherentSummationUnit(fan_in=2, clock_ghz=clock_ghz)
+        .operation_energy_pj(active_arms=2)
+        for clock_ghz in clocks
+    ]
+    return np.array(adder_pj, dtype=float)[index]
 
 
 def _mha_block_columns(
@@ -259,10 +213,7 @@ def _ff_block_columns(
 
 
 def _pim_extra_columns(
-    cols: _TronColumns,
-    contexts: Sequence[Optional[ExecutionContext]],
-    model,
-    offload: np.ndarray,
+    cols: _TronColumns, model
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-point PIM spill + near-bank reduce extras (zero elsewhere).
 
@@ -270,25 +221,22 @@ def _pim_extra_columns(
     and V spill to the device (``store_offchip``), are reduced in place
     (``pim_reduce_cost``), and the extras are charged once per layer —
     one scalar traffic evaluation per distinct (memory system,
-    precision, memory-relevant context, geometry) group.
+    precision, geometry, memory-relevant context) group.
     """
     extra_e = np.zeros(cols.n)
     extra_l = np.zeros(cols.n)
-    keys = [
-        (
-            cols.configs[i].memory,
-            cols.configs[i].bits,
-            memory_context_key(contexts[i]),
-            cols.configs[i].hbm,
-        )
-        if offload[i]
-        else None
-        for i in range(cols.n)
-    ]
-    for key, indices in group_indices(keys).items():
-        if key is None:
-            continue
-        system, bits, mem_ctx, geometry = key
+    keys, key_index = cols.config_codes(
+        [(cfg.memory, cfg.bits, cfg.hbm) for cfg in cols.configs]
+    )
+    points = np.flatnonzero(cols.offload)
+    first, inverse = group_indices(
+        key_index[points], cols.memory_context_index[points]
+    )
+    group_e = []
+    group_l = []
+    for i in points[first]:
+        system, bits, geometry = keys[key_index[i]]
+        mem_ctx = cols.memory_contexts[cols.memory_context_index[i]]
         mem_model = build_soa_memory_model(
             "hbm-pim", system, mem_ctx, geometry
         )
@@ -301,19 +249,19 @@ def _pim_extra_columns(
             out_bytes=model.seq_len * model.d_model * bpv,
             macs=model.seq_len * model.seq_len * model.d_model,
         )
-        extra_e[indices] = (
-            spill.energy_pj + reduce.energy_pj
-        ) * model.num_layers
-        extra_l[indices] = (
-            spill.latency_ns + reduce.latency_ns
-        ) * model.num_layers
+        group_e.append((spill.energy_pj + reduce.energy_pj) * model.num_layers)
+        group_l.append(
+            (spill.latency_ns + reduce.latency_ns) * model.num_layers
+        )
+    extra_e[points] = np.array(group_e, dtype=float)[inverse]
+    extra_l[points] = np.array(group_l, dtype=float)[inverse]
     return extra_e, extra_l
 
 
 def _finish(
     cols: _TronColumns,
-    contexts: Sequence[Optional[ExecutionContext]],
-    ops_list: Sequence[OpCount],
+    ops: Sequence[OpCount],
+    ops_index: np.ndarray,
     compute_latency: ColumnLatency,
     compute_energy: ColumnEnergy,
     extra_memory: Optional[Tuple[np.ndarray, np.ndarray]] = None,
@@ -325,14 +273,7 @@ def _finish(
     static tail exactly as the scalar path does.
     """
     memory_energy, memory_latency = weight_stream_columns(
-        [cfg.memory for cfg in cols.configs],
-        contexts,
-        ops_list,
-        cols.bits,
-        compute_latency.total,
-        cols.batch,
-        backends=[cfg.memory_backend for cfg in cols.configs],
-        geometries=[cfg.hbm for cfg in cols.configs],
+        cols, ops, ops_index, compute_latency.total, cols.batch
     )
     if extra_memory is not None:
         extra_e, extra_l = extra_memory
@@ -354,14 +295,13 @@ def evaluate_transformer(
     if model.seq_len < 1:
         raise ConfigurationError("model sequence length must be >= 1")
     cols = _TronColumns(configs, contexts)
-    offload = np.fromiter(
-        (cfg.memory_backend == "hbm-pim" for cfg in configs),
-        dtype=bool,
-        count=cols.n,
-    )
 
     mha_latency, mha_energy = _mha_block_columns(
-        cols, model.seq_len, model.d_model, model.num_heads, offload=offload
+        cols,
+        model.seq_len,
+        model.d_model,
+        model.num_heads,
+        offload=cols.offload,
     )
     ff_latency, ff_energy = _ff_block_columns(
         cols, model.seq_len, model.d_model, model.d_ff
@@ -371,20 +311,18 @@ def evaluate_transformer(
     compute_latency = layer_latency.scaled(model.num_layers)
     compute_energy = layer_energy.scaled(model.num_layers)
 
-    ops_list, _ = cols.ops_per_point(
+    ops, ops_index = cols.op_counts(
         lambda bits: transformer_op_count(
             model, bytes_per_value=max(bits // 8, 1)
         )
     )
     extra_memory = (
-        _pim_extra_columns(cols, contexts, model, offload)
-        if offload.any()
-        else None
+        _pim_extra_columns(cols, model) if cols.offload.any() else None
     )
     latency, energy = _finish(
         cols,
-        contexts,
-        ops_list,
+        ops,
+        ops_index,
         compute_latency,
         compute_energy,
         extra_memory=extra_memory,
@@ -397,15 +335,7 @@ def evaluate_transformer(
         latency = latency + head_latency
         energy = energy + head_energy
 
-    return StackedRunReports(
-        platform="TRON",
-        workload=model.name,
-        ops=ops_list,
-        latency=latency.as_arrays(cols.n),
-        energy=energy.as_arrays(cols.n),
-        bits_per_value=cols.bits,
-        groups=cols.groups,
-    )
+    return cols.stack("TRON", model.name, ops, ops_index, latency, energy)
 
 
 def evaluate_mlp(
@@ -431,21 +361,13 @@ def evaluate_mlp(
         total_cycles, cols.breakdown
     ) + ColumnEnergy(activation_pj=soa_pj)
 
-    ops_list, _ = cols.ops_per_point(
+    ops, ops_index = cols.op_counts(
         lambda bits: workload.op_count(bytes_per_value=max(bits // 8, 1))
     )
     latency, energy = _finish(
-        cols, contexts, ops_list, compute_latency, compute_energy
+        cols, ops, ops_index, compute_latency, compute_energy
     )
-    return StackedRunReports(
-        platform="TRON",
-        workload=workload.name,
-        ops=ops_list,
-        latency=latency.as_arrays(cols.n),
-        energy=energy.as_arrays(cols.n),
-        bits_per_value=cols.bits,
-        groups=cols.groups,
-    )
+    return cols.stack("TRON", workload.name, ops, ops_index, latency, energy)
 
 
 register_soa_evaluator("TRON", WorkloadKind.TRANSFORMER, evaluate_transformer)

@@ -189,11 +189,16 @@ class _Pending:
     future: Optional[Future] = None
     response: Optional[FleetResponse] = None
 
-    def resolve(self, response: FleetResponse) -> None:
-        """Deliver the response (future and/or direct slot)."""
-        self.response = response
+    def settle(self) -> None:
+        """Complete the future, if any, with the stored ``response``.
+
+        The response is stored under the fleet lock before the entry
+        leaves the pending table, so :meth:`~ServingFleet.drain` never
+        returns ahead of it; the future (and its callbacks) completes
+        afterwards — outside the lock on the collector's path.
+        """
         if self.future is not None:
-            self.future.set_result(response)
+            self.future.set_result(self.response)
 
 
 def _worker_main(
@@ -563,23 +568,20 @@ class ServingFleet:
             if entry.shard in set(dead)
         ]
         completion = self._now()
-        resolved = []
         for request_id, entry in doomed:
+            entry.response = FleetResponse(
+                workload=entry.workload,
+                error=f"worker {entry.shard} died",
+                shard=entry.shard,
+                open_latency_s=completion - entry.arrival_s,
+            )
             del self._pending[request_id]
             self._in_flight[entry.shard] -= 1
             self._errors += 1
-            resolved.append(entry)
-        if resolved:
+        if doomed:
             self._done.notify_all()
-        for entry in resolved:
-            entry.resolve(
-                FleetResponse(
-                    workload=entry.workload,
-                    error=f"worker {entry.shard} died",
-                    shard=entry.shard,
-                    open_latency_s=completion - entry.arrival_s,
-                )
-            )
+        for _, entry in doomed:
+            entry.settle()
 
     # ------------------------------------------------------------------
     # Collection
@@ -608,19 +610,10 @@ class ServingFleet:
                     entry = self._pending.pop(request_id, None)
                     if entry is None:  # pragma: no cover - protocol bug
                         continue
-                    self._in_flight[entry.shard] -= 1
-                    self._completed += 1
-                    if response.get("report") is None:
-                        self._errors += 1
                     open_latency = completion - entry.arrival_s
-                    self._latency_sum_s += open_latency
-                    self._latencies.append(open_latency)
-                    self._last_completion_s = completion
-                    resolved.append((entry, response, open_latency))
-                self._done.notify_all()
-            for entry, response, open_latency in resolved:
-                entry.resolve(
-                    FleetResponse(
+                    # Stored under the lock: drain() never sees the
+                    # entry gone without its response.
+                    entry.response = FleetResponse(
                         workload=entry.workload,
                         report=response.get("report"),
                         cached=bool(response.get("cached")),
@@ -631,7 +624,17 @@ class ServingFleet:
                         shard=entry.shard,
                         worker=worker_id,
                     )
-                )
+                    self._in_flight[entry.shard] -= 1
+                    self._completed += 1
+                    if response.get("report") is None:
+                        self._errors += 1
+                    self._latency_sum_s += open_latency
+                    self._latencies.append(open_latency)
+                    self._last_completion_s = completion
+                    resolved.append(entry)
+                self._done.notify_all()
+            for entry in resolved:
+                entry.settle()
 
     # ------------------------------------------------------------------
     # Whole-stream entry points

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.api.registry import auto_platform
 from repro.core.base import WorkloadKind
 from repro.core.context import ExecutionContext
 from repro.core.reports import RunReport
@@ -32,8 +33,8 @@ class ServeRequest:
         workload: registered workload name (see
             :func:`repro.core.base.list_workloads`).
         platform: ``"tron"``, ``"ghost"``, or ``"auto"`` — auto routes
-            GNN workloads to GHOST and everything else to TRON, exactly
-            like the CLI.
+            graph workloads (static and temporal) to GHOST and
+            everything else to TRON, exactly like the CLI.
         ctx: the evaluation corner (``None`` = nominal).
         batch: inferences sharing one weight-streaming pass; folded into
             the TRON configuration (GHOST costs full-graph inferences,
@@ -65,10 +66,12 @@ class ServeRequest:
             raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
 
     def resolve_platform(self, kind: WorkloadKind) -> str:
-        """The concrete platform this request runs on (auto-routing)."""
+        """The concrete platform this request runs on: ``"auto"``
+        follows the routing rule the CLI and the Session share
+        (:func:`repro.api.registry.auto_platform`)."""
         if self.platform != "auto":
             return self.platform
-        return "ghost" if kind is WorkloadKind.GNN else "tron"
+        return auto_platform(kind)
 
     @classmethod
     def from_spec(cls, spec) -> "ServeRequest":

@@ -1,6 +1,7 @@
 """Tests for the sharded multi-process fleet tier (routing, admission,
 wire codec, and the ServingFleet front-end)."""
 
+import sys
 import threading
 
 import pytest
@@ -250,6 +251,24 @@ class TestServingFleet:
                 assert response.workload == request.workload
         # No lost or duplicated completions fleet-wide.
         assert stats["completed"] == (threads + 1) * per_thread
+
+    def test_serve_returns_every_hot_response(self):
+        # drain() must not return before the collector has stored the
+        # responses of the requests it saw complete.
+        # A tiny GIL switch interval interleaves the collector thread
+        # with the caller as often as possible.
+        requests = small_trace(num_requests=2000, catalog_size=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingFleet(workers=1, window=8) as fleet:
+                fleet.serve(requests[:50])  # warm: the rest are cache hits
+                for _ in range(3):
+                    responses = fleet.serve(requests)
+                    assert all(r is not None for r in responses)
+                    assert all(r.ok for r in responses)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_open_loop_past_saturation_sheds_and_completes(self):
         requests = small_trace()

@@ -196,6 +196,18 @@ class TestBatchingScheduler:
         assert responses[0].report.platform == "TRON"
         assert responses[1].report.platform == "GHOST"
 
+    def test_auto_routes_temporal_gnn_to_ghost(self):
+        from repro.api import Session
+
+        with ServingEngine() as engine:
+            (response,) = engine.serve(
+                [ServeRequest(workload="GCN-ba-temporal")]
+            )
+        assert response.error is None
+        assert response.report.platform == "GHOST"
+        expected = Session().run("GCN-ba-temporal").report
+        assert response.report.to_dict() == expected.to_dict()
+
     def test_ghost_batched_request_errors_cleanly(self):
         responses = BatchingScheduler().execute(
             [ServeRequest(workload="GCN-cora", platform="ghost", batch=8)]

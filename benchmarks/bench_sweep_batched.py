@@ -1,7 +1,6 @@
 """The sweep engine strategies vs. naive per-point re-evaluation.
 
-The production-scale complement of ``bench_engine_sweep``: a >= 500
-point combined TRON + GHOST knob grid evaluated through the batched
+A >= 500 point combined TRON + GHOST knob grid evaluated through the batched
 strategy (one workload materialization, one vectorized device-physics
 kernel call, signature-grouped run-path evaluation) and the ``soa``
 strategy (the array-resident path: the whole grid as stacked NumPy
@@ -70,7 +69,7 @@ def measure_batched_sweep(quick: bool = False):
     clear_graph_memo()
     t0 = time.perf_counter()
     naive = {
-        space.name: run_sweep(space, memoize=False, parallel=False)
+        space.name: run_sweep(space, strategy="naive")
         for space in spaces
     }
     naive_s = time.perf_counter() - t0

@@ -33,13 +33,21 @@ single array-resident evaluation
 (:func:`repro.core.engine.soa_evaluator`) — the sample axis becomes one
 more tensor axis, and the whole unknown set costs as a handful of NumPy
 ops; ``"grouped"`` is the scalar per-signature replay (one
-``Accelerator.run`` per unknown, groups evaluated concurrently), which
+``Accelerator.run`` per unknown, groups evaluated in order), which
 platforms without a registered evaluator fall back to automatically.
+
+The naive and vectorized paths agree to float rounding, not bit for
+bit, when thermal-eigenmode decomposition (TED) tuning is on: the
+vectorized path solves every die's heaters in one float32 matmul
+(:func:`repro.core.engine.batch_context_physics`), which rounds
+differently from a one-die solve, so on a 512-die TRON population a
+die's energy can sit about 5e-9 relative off the naive value.
+``"soa"`` and ``"grouped"`` share those batched physics and agree bit
+for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +60,6 @@ from repro.core.engine import (
     batch_context_physics,
     clear_physics_cache,
     context_physics,
-    soa_config_supported,
     soa_evaluator,
 )
 from repro.core.reports import RunReport
@@ -226,7 +233,6 @@ def run_monte_carlo(
     context: ExecutionContext,
     samples: int = 256,
     vectorized: bool = True,
-    max_workers: Optional[int] = None,
     strategy: Optional[str] = None,
 ) -> MonteCarloResult:
     """Evaluate one configuration over ``samples`` sampled dies.
@@ -240,14 +246,15 @@ def run_monte_carlo(
             picks the population's first die.
         samples: number of dies (N).
         vectorized: batched engine (default) vs. the naive N-scalar-runs
-            baseline; both produce the same distributions.
-        max_workers: thread pool width of the vectorized group runs.
+            baseline; both produce the same distributions up to the
+            TED float rounding described in the module docstring.
         strategy: explicit evaluation strategy — ``"soa"`` (the default
             with ``vectorized=True``) resolves every yield-signature
             unknown in one stacked array-resident evaluation,
             ``"grouped"`` replays each unknown through the scalar run
-            path, ``"naive"`` is the N-scalar-runs baseline.  All three
-            produce bit-identical distributions.
+            path, ``"naive"`` is the N-scalar-runs baseline.  ``"soa"``
+            and ``"grouped"`` produce bit-identical distributions;
+            ``"naive"`` matches them bit for bit only with TED off.
 
     Example:
         >>> from repro.core import TRON, get_workload
@@ -283,7 +290,6 @@ def run_monte_carlo(
         make_workload,
         context,
         samples,
-        max_workers,
         use_soa=(strategy == "soa"),
     )
 
@@ -366,8 +372,7 @@ def _run_naive(
 
 
 def _run_vectorized(
-    make_accelerator, make_workload, context, samples, max_workers,
-    use_soa: bool = True,
+    make_accelerator, make_workload, context, samples, use_soa: bool = True
 ) -> MonteCarloResult:
     """One batched physics pass + one run-path evaluation per unknown."""
     workload = make_workload()
@@ -407,7 +412,7 @@ def _run_vectorized(
 
     evaluator = None
     config = getattr(probe, "config", None)
-    if use_soa and config is not None and soa_config_supported(config):
+    if use_soa and config is not None:
         evaluator = soa_evaluator(probe.name, workload.kind)
 
     if evaluator is not None:
@@ -466,8 +471,7 @@ def _run_vectorized(
             ),
         )
 
-    def evaluate_group(item) -> None:
-        signature, indices = item
+    for signature, indices in signature_items:
         pinned = {
             (spec.rows, spec.cols): PinnedArrayPhysics(rows, cols, 0.0)
             for spec, (rows, cols) in zip(geometries, signature)
@@ -491,13 +495,6 @@ def _run_vectorized(
                 slope * float(batch.correction_power_mw[i])
                 for slope, batch in zip(slopes, batches)
             )
-
-    if len(signature_items) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(evaluate_group, signature_items))
-    else:
-        for item in signature_items:
-            evaluate_group(item)
 
     return _result(
         probe,
@@ -614,7 +611,6 @@ def monte_carlo_sweep(
     space,
     context: ExecutionContext,
     samples: int = 128,
-    max_workers: Optional[int] = None,
 ) -> List[RobustPoint]:
     """Monte-Carlo every knob setting of a sweep space at one corner.
 
@@ -644,7 +640,6 @@ def monte_carlo_sweep(
             context=context,
             samples=samples,
             vectorized=True,
-            max_workers=max_workers,
         )
         points.append(
             RobustPoint(label=space.label(knobs), knobs=knobs, result=result)

@@ -31,9 +31,7 @@ any config space sweeps the same way.
 
 from __future__ import annotations
 
-import importlib
 import itertools
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,7 +44,6 @@ from repro.core.engine import (
     clear_physics_cache,
     pareto_mask,
     prime_breakdown_cache,
-    soa_config_supported,
     soa_evaluator,
 )
 from repro.core.ghost import GHOST, GHOSTConfig
@@ -55,10 +52,14 @@ from repro.core.tron import TRON, TRONConfig
 from repro.errors import ConfigurationError
 from repro.nn.gnn import GNNKind
 from repro.nn.models import bert_base
-from repro.workloads import TransformerWorkload, make_gnn_workload
+from repro.workloads import (
+    TransformerWorkload,
+    clear_graph_memo,
+    make_gnn_workload,
+)
 
 #: The sweep evaluation strategies of :func:`run_sweep`.
-STRATEGIES = ("soa", "batched", "serial", "threads")
+STRATEGIES = ("soa", "batched", "serial", "naive")
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class SweepSpace:
         knobs: ordered knob name -> candidate values.
         build_accelerator: knob values -> configured accelerator.
         build_workload: materializes the reference workload (called once
-            per sweep when memoizing; per point in the naive baseline).
+            per sweep; per point in the ``naive`` baseline).
         label: knob values -> human-readable point label.
         corners: optional corner axis — named execution contexts every
             knob setting is additionally evaluated at (see
@@ -246,26 +247,18 @@ def _physics_requests(accelerator: Accelerator) -> List[Tuple]:
 
 
 def _run_batched(
-    space: SweepSpace,
-    evaluations: List[Tuple],
-    positions: Optional[Sequence[int]] = None,
+    space: SweepSpace, evaluations: List[Tuple]
 ) -> List[SweepPoint]:
-    """The configuration-batched sweep path (see :func:`run_sweep`).
-
-    ``positions`` are the evaluations' indices in
-    ``space.evaluations()`` (default: all of it, in order); they name
-    each evaluation's knob setting.
-    """
+    """The configuration-batched sweep path (see :func:`run_sweep`)."""
     workload = space.build_workload()
     workload.materialize()  # once, shared by every point
 
     # One accelerator and one config signature per knob setting, shared
-    # by the setting's corners (see SweepSpace.build_config).
+    # by the setting's corners (see SweepSpace.build_config; evaluations
+    # run in grid order, corners innermost).
     settings = space.enumerate()
     per_setting = max(1, len(space.corners))
-    if positions is None:
-        positions = range(len(evaluations))
-    setting_of = [position // per_setting for position in positions]
+    setting_of = [index // per_setting for index in range(len(evaluations))]
     accelerators: Dict[int, Accelerator] = {}
     config_reprs: Dict[int, str] = {}
     for setting in setting_of:
@@ -329,10 +322,6 @@ def _soa_stack(
     # (evaluations run in grid order, corners innermost).
     settings = space.enumerate()
     setting_configs = [space.build_config(knobs) for knobs in settings]
-    if not all(soa_config_supported(cfg) for cfg in setting_configs):
-        # All registry backends (analytic, hbm, hbm-pim) are covered
-        # today; the guard stays for third-party configs that opt out.
-        return None
     per_setting = max(1, len(space.corners))
     configs = [cfg for cfg in setting_configs for _ in range(per_setting)]
     contexts = [_normalized_context(ctx) for _, _, ctx in evaluations]
@@ -450,15 +439,11 @@ def run_sweep_soa(space: SweepSpace) -> SoASweepResult:
 
 
 def run_sweep(
-    space: SweepSpace,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    memoize: bool = True,
-    strategy: Optional[str] = None,
+    space: SweepSpace, strategy: Optional[str] = None
 ) -> List[SweepPoint]:
     """Evaluate every point of a sweep space.
 
-    Strategies (``strategy``; the executor-choice heuristic):
+    Strategies (``strategy``, one of :data:`STRATEGIES`):
 
     - ``"soa"`` — the default and the array-resident production path:
       the whole grid evaluates as structure-of-arrays NumPy columns
@@ -472,209 +457,60 @@ def run_sweep(
     - ``"batched"`` — the scalar production path (and the ``soa``
       fallback): materialize the workload once, compute all device
       physics in one vectorized kernel call, group points by run-path
-      signature and cost each group once.  Point evaluation is pure
-      Python/numpy compute, so **a thread pool cannot speed it up — the
-      GIL serializes it**; batching the math is what wins.
-    - ``"threads"`` — the legacy pool (also selected by
-      ``parallel=True``).  Kept *only* for I/O-ish paths: when the
-      physics caches are already warm (or the persistent disk cache
-      serves them), point evaluation degenerates to cache lookups and
-      numpy kernels that release the GIL, and overlapping points can
-      hide the remaining stalls.  Never the right choice for a cold
-      CPU-bound grid.
+      signature and cost each group once.
     - ``"serial"`` — one plain scalar run per point (memoized state,
-      no grouping; also selected by ``parallel=False``); the reference
-      the batched path is tested against, and the path to use when
-      every point must own a distinct report object (batched grouping
-      shares one report across duplicate-signature points).
-    - For non-batchable spaces (factories that resist signature
-      grouping) on multi-core hosts, use
-      :func:`run_sweep_in_processes` — a ``ProcessPoolExecutor`` over
-      importable space factories sidesteps the GIL entirely.
+      no grouping); the reference the batched path is tested against,
+      and the path to use when every point must own a distinct report
+      object (batched grouping shares one report across
+      duplicate-signature points).
+    - ``"naive"`` — the baseline the benchmarks compare against: every
+      point re-materializes its workload and recomputes the physics
+      curves from cleared caches.
 
-    ``memoize=False`` is the naive baseline the benchmarks compare
-    against: every point re-materializes its workload and recomputes
-    the physics curves, **strictly sequentially** — requesting
-    ``parallel=True`` with it is a contradiction and raises.
+    Point evaluation is pure Python/NumPy compute, so a thread pool
+    cannot speed any of these up (the GIL serializes it); batching the
+    math is what wins.  For more cores, run separate processes.
     """
-    points, _ = run_sweep_with_stats(
-        space,
-        parallel=parallel,
-        max_workers=max_workers,
-        memoize=memoize,
-        strategy=strategy,
-    )
+    points, _ = run_sweep_with_stats(space, strategy=strategy)
     return points
 
 
 def run_sweep_with_stats(
-    space: SweepSpace,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    memoize: bool = True,
-    strategy: Optional[str] = None,
+    space: SweepSpace, strategy: Optional[str] = None
 ) -> Tuple[List[SweepPoint], SoAStats]:
     """:func:`run_sweep` plus the evaluation stats of the strategy that
     ran (what the ``--json`` envelopes surface).
 
-    For scalar strategies the stats record the resolved strategy name
-    and point count; the ``soa`` strategy additionally reports its group
+    For scalar strategies the stats record the strategy name and point
+    count; the ``soa`` strategy additionally reports its group
     collapse, materialization count and any scalar fallback.
     """
-    evaluations = space.evaluations()
-
-    if not memoize:
-        if parallel:
-            raise ConfigurationError(
-                "memoize=False is the sequential per-point baseline; "
-                "it cannot run in parallel (the physics cache is cleared "
-                "per point)"
-            )
-        from repro.workloads import clear_graph_memo
-
-        points = []
-        for knobs, label, ctx in evaluations:
-            clear_physics_cache()
-            clear_graph_memo()
-            workload = space.build_workload()
-            report = space.build_accelerator(knobs).run(workload, ctx=ctx)
-            points.append(SweepPoint(label=label, knobs=knobs, report=report))
-        return points, SoAStats(strategy="naive", points=len(points))
-
     if strategy is None:
-        # Back-compat mapping: parallel=True is the legacy thread pool,
-        # parallel=False the legacy strict per-point serial loop (each
-        # point owns a distinct report object); only the unspecified
-        # default upgrades to the array-resident path.
-        if parallel is True:
-            strategy = "threads"
-        elif parallel is False:
-            strategy = "serial"
-        else:
-            strategy = "soa"
+        strategy = "soa"
     if strategy not in STRATEGIES:
         raise ConfigurationError(
-            f"unknown sweep strategy {strategy!r}; pick one of {STRATEGIES} "
-            "(or run_sweep_in_processes for the multi-process fallback)"
+            f"unknown sweep strategy {strategy!r}; pick one of {STRATEGIES}"
         )
+    evaluations = space.evaluations()
 
     if strategy == "soa":
         return _run_soa(space, evaluations)
     if strategy == "batched":
         points = _run_batched(space, evaluations)
         return points, SoAStats(strategy="batched", points=len(points))
-
-    workload = space.build_workload()
-    workload.materialize()  # once, outside the worker pool
-
-    def evaluate(evaluation) -> SweepPoint:
-        knobs, label, ctx = evaluation
+    naive = strategy == "naive"
+    if not naive:
+        workload = space.build_workload()
+        workload.materialize()  # once, shared by every point
+    points = []
+    for knobs, label, ctx in evaluations:
+        if naive:
+            clear_physics_cache()
+            clear_graph_memo()
+            workload = space.build_workload()
         report = space.build_accelerator(knobs).run(workload, ctx=ctx)
-        return SweepPoint(label=label, knobs=knobs, report=report)
-
-    if strategy == "threads" and len(evaluations) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(evaluate, evaluations))
-    else:
-        points = [evaluate(evaluation) for evaluation in evaluations]
+        points.append(SweepPoint(label=label, knobs=knobs, report=report))
     return points, SoAStats(strategy=strategy, points=len(points))
-
-
-def _resolve_space_factory(factory) -> Callable[..., SweepSpace]:
-    """A space factory from a callable or an ``"module:attr"`` string."""
-    if callable(factory):
-        return factory
-    if isinstance(factory, str) and ":" in factory:
-        module_name, attr = factory.split(":", 1)
-        return getattr(importlib.import_module(module_name), attr)
-    raise ConfigurationError(
-        "space factory must be a callable or 'module:attribute' string, "
-        f"got {factory!r}"
-    )
-
-
-def _process_chunk(payload) -> List[Tuple]:
-    """Worker: rebuild the space in-process and run one index chunk."""
-    factory, kwargs, indices = payload
-    space = _resolve_space_factory(factory)(**kwargs)
-    evaluations = space.evaluations()
-    chunk = [evaluations[i] for i in indices]
-    points = _run_batched(space, chunk, positions=indices)
-    return [
-        (index, point.label, point.knobs, point.report)
-        for index, point in zip(indices, points)
-    ]
-
-
-def run_sweep_in_processes(
-    space_factory,
-    factory_kwargs: Optional[Mapping[str, Any]] = None,
-    max_workers: int = 2,
-) -> List[SweepPoint]:
-    """Evaluate a sweep space across worker *processes*.
-
-    The GIL-free fallback for grids the batched path cannot help (e.g.
-    custom spaces whose points share no run-path structure) on
-    multi-core hosts.  Because worker processes cannot receive closures,
-    the space is named by a picklable **factory** — a module-level
-    callable or an ``"module:attribute"`` string — plus keyword
-    arguments, and each worker rebuilds it locally and evaluates an
-    index chunk through the batched path.  Results are returned in grid
-    order and are bit-identical to an in-process sweep (same code, same
-    inputs).
-
-    Example:
-        >>> points = run_sweep_in_processes(
-        ...     "repro.analysis.sweep:tron_sweep_space",
-        ...     {"head_units": (4,), "array_sizes": (32, 64),
-        ...      "clocks_ghz": (5.0,)},
-        ...     max_workers=2)
-        >>> [p.label for p in points]
-        ['H4/A32/5.0GHz', 'H4/A64/5.0GHz']
-    """
-    if max_workers < 1:
-        raise ConfigurationError(f"need >= 1 worker, got {max_workers}")
-    factory = space_factory
-    kwargs = dict(factory_kwargs or {})
-    # Validate eagerly in the parent (workers would fail opaquely).
-    space = _resolve_space_factory(factory)(**kwargs)
-    num_points = len(space.evaluations())
-    chunk_count = min(max_workers, num_points)
-    chunks = [
-        list(range(start, num_points, chunk_count))
-        for start in range(chunk_count)
-    ]
-    payloads = [(factory, kwargs, indices) for indices in chunks]
-    results: List[Optional[SweepPoint]] = [None] * num_points
-    if chunk_count == 1:
-        chunk_results = [_process_chunk(payloads[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=chunk_count) as pool:
-            chunk_results = list(pool.map(_process_chunk, payloads))
-    for chunk in chunk_results:
-        for index, label, knobs, report in chunk:
-            results[index] = SweepPoint(label=label, knobs=knobs, report=report)
-    return list(results)
-
-
-def combined_sweep(
-    spaces: Sequence[SweepSpace],
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    memoize: bool = True,
-    strategy: Optional[str] = None,
-) -> Dict[str, List[SweepPoint]]:
-    """Run several sweep spaces, sharing the memoized engine state."""
-    return {
-        space.name: run_sweep(
-            space,
-            parallel=parallel,
-            max_workers=max_workers,
-            memoize=memoize,
-            strategy=strategy,
-        )
-        for space in spaces
-    }
 
 
 # ----------------------------------------------------------------------

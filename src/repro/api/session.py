@@ -739,27 +739,6 @@ class Session:
         workload = get_workload(name)
         return f"[{workload.kind.value:<11s}] {workload.describe()}"
 
-    def gnn_workload(
-        self,
-        kind: str,
-        dataset: str,
-        hidden_dim: int = 64,
-        rng_seed: int = 0,
-        name: Optional[str] = None,
-    ):
-        """An ad-hoc GNN workload over a synthesized dataset replica
-        (the deprecated ``run-gnn`` CLI path builds through this)."""
-        from repro.nn.gnn import GNNKind
-        from repro.workloads import make_gnn_workload
-
-        return make_gnn_workload(
-            GNNKind(kind),
-            dataset,
-            hidden_dim=hidden_dim,
-            rng_seed=rng_seed,
-            name=name,
-        )
-
     def claims(self) -> List:
         """The paper's headline-claim checks plus the streaming-extension
         floors (all regenerated)."""

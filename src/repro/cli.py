@@ -25,9 +25,6 @@ Commands:
 - ``cache`` — inspect or clear the persistent physics cache
   (``repro cache --clear``; see docs/performance.md).
 - ``gen-trace`` — synthesize a mixed LLM+GNN request trace.
-- ``run-llm <model>`` — deprecated alias of ``run --platform tron``.
-- ``run-gnn <kind> <dataset>`` — deprecated; builds the GNN workload
-  and routes through the same ``run`` path.
 
 ``run`` / ``sweep`` / ``mc`` / ``serve`` also accept a declarative
 experiment spec (``--spec file.{json,toml}``, format ``repro.spec/1``;
@@ -48,10 +45,6 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
-
-# Re-exported here for backwards compatibility: the envelope builder
-# now lives with the typed result objects in repro.api.results.
-from repro.api.results import JSON_SCHEMA_VERSION, json_envelope  # noqa: F401
 
 
 def _session(disk_cache: bool = True):
@@ -100,13 +93,6 @@ def _emit(result, args) -> None:
         print(json.dumps(result.envelope(), indent=2))
     else:
         print(result.format())
-
-
-def _deprecated(old: str, new: str) -> None:
-    print(
-        f"note: '{old}' is deprecated; use '{new}' instead",
-        file=sys.stderr,
-    )
 
 
 def _cmd_describe(_args) -> int:
@@ -296,29 +282,6 @@ def _cmd_gen_trace(args) -> int:
     return 0
 
 
-def _cmd_run_llm(args) -> int:
-    _deprecated("run-llm", f"run {args.model} --platform tron")
-    result = _session().run(args.model, platform="tron", batch=args.batch)
-    print(result.format())
-    return 0
-
-
-def _cmd_run_gnn(args) -> int:
-    _deprecated(
-        "run-gnn", f"run {args.kind.upper()}-{args.dataset} --platform ghost"
-    )
-    session = _session()
-    workload = session.gnn_workload(
-        args.kind,
-        args.dataset,
-        hidden_dim=args.hidden,
-        rng_seed=args.seed,
-        name=f"{args.kind}-{args.dataset}",
-    )
-    print(session.run(workload, platform="ghost").format())
-    return 0
-
-
 def _missing(command: str, what: str):
     from repro.errors import ConfigurationError
 
@@ -330,7 +293,7 @@ def _add_seed(parser) -> None:
         "--seed",
         type=int,
         default=0,
-        help="die / replica selection seed (threads into the "
+        help="die / replica selection seed (carried into the "
         "ExecutionContext)",
     )
 
@@ -377,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--strategy",
-        choices=("soa", "batched", "serial", "threads"),
+        choices=("soa", "batched", "serial"),
         default=None,
         help="sweep evaluation strategy (default: soa, the "
         "array-resident path; batched is the scalar oracle)",
@@ -599,23 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed(gen_trace)
 
-    run_llm = sub.add_parser(
-        "run-llm",
-        help="[deprecated] cost a transformer on TRON (use 'run')",
-    )
-    run_llm.add_argument("model", help="model zoo name, e.g. BERT-base")
-    run_llm.add_argument("--batch", type=int, default=1)
-
-    from repro.nn.gnn import GNNKind
-
-    run_gnn = sub.add_parser(
-        "run-gnn", help="[deprecated] cost a GNN on GHOST (use 'run')"
-    )
-    run_gnn.add_argument("kind", choices=[k.value for k in GNNKind])
-    run_gnn.add_argument("dataset", help="dataset name, e.g. cora")
-    run_gnn.add_argument("--hidden", type=int, default=64)
-    _add_seed(run_gnn)
-
     return parser
 
 
@@ -631,8 +577,6 @@ _HANDLERS = {
     "cache": _cmd_cache,
     "serve": _cmd_serve,
     "gen-trace": _cmd_gen_trace,
-    "run-llm": _cmd_run_llm,
-    "run-gnn": _cmd_run_gnn,
 }
 
 

@@ -52,7 +52,6 @@ from repro.core.engine.soa import (
     SoAStats,
     pareto_mask,
     register_soa_evaluator,
-    soa_config_supported,
     soa_evaluator,
 )
 from repro.core.engine.hbm import CommandTrace, HBMGeometry, HBMMemoryModel
@@ -130,6 +129,5 @@ __all__ = [
     "register_memory_backend",
     "register_soa_evaluator",
     "serial_waves",
-    "soa_config_supported",
     "soa_evaluator",
 ]

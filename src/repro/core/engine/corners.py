@@ -378,9 +378,11 @@ def batch_context_physics_for(
     one base context, this entry point takes the dies themselves — the
     serving scheduler uses it to evaluate every distinct die appearing in
     a request group at once instead of running N scalar physics solves.
-    Entry ``i`` of the result is the physics of ``contexts[i]``,
-    identical to what :func:`context_physics` computes for that context
-    alone.
+    Entry ``i`` of the result is the physics of ``contexts[i]``.  It
+    matches what :func:`context_physics` computes for that context
+    alone, except with TED on: the batched float32 heater solve rounds
+    differently from a one-die solve, so correction power can differ by
+    about 1e-8 relative (and a TRON run's energy by about 5e-9).
 
     Args:
         spec: the array geometry (``rows``, ``cols``, ``design``).

@@ -71,8 +71,8 @@ class MemoStats:
 class LRUMemo:
     """A bounded LRU mapping with hit/miss/eviction accounting.
 
-    Thread-safe: sweep thread pools and the serving flush worker share
-    the engine's module-level memos.
+    Thread-safe: the serving flush worker shares the engine's
+    module-level memos with the thread that calls ``serve``.
     """
 
     def __init__(self, max_entries: int = 256) -> None:

@@ -470,20 +470,6 @@ class ConfigColumns:
         )
 
 
-def soa_config_supported(config: object) -> bool:
-    """Whether the array-resident evaluators cover this config.
-
-    All three memory backends are covered.  ``analytic`` and plain
-    ``hbm`` only change the memory primitives, which the columns price
-    through the real registry-built models; ``hbm-pim`` additionally
-    reshapes the run path (stages move off the photonic pipeline onto
-    near-bank compute), which the platform evaluators express as column
-    ops — ``np.where`` selection between the offloaded and full stage
-    pipelines plus per-group PIM spill/reduce traffic.
-    """
-    return True
-
-
 def build_soa_memory_model(
     backend: str,
     system: object,

@@ -11,6 +11,7 @@ layer weights, so one DAC bank can drive all transform arrays).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -113,11 +114,13 @@ class GHOSTConfig:
                 f"array dims must be >= 1, got "
                 f"{self.array_rows}x{self.array_cols}"
             )
-        if self.clock_ghz <= 0.0:
+        # Written as "not in range" so NaN (which fails every comparison)
+        # and inf are rejected along with out-of-range values.
+        if not 0.0 < self.clock_ghz < math.inf:
             raise ConfigurationError(f"clock must be > 0 GHz, got {self.clock_ghz}")
         if self.weight_refresh_cycles < 1:
             raise ConfigurationError("weight refresh window must be >= 1")
-        if self.random_access_penalty < 1.0:
+        if not 1.0 <= self.random_access_penalty < math.inf:
             raise ConfigurationError(
                 "random access penalty must be >= 1, got "
                 f"{self.random_access_penalty}"

@@ -10,6 +10,7 @@ the FF unit, and a 5 GHz photonic clock matched to the converter rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -100,7 +101,9 @@ class TRONConfig:
             )
         if self.num_linear_arrays < 1 or self.num_ff_arrays < 1:
             raise ConfigurationError("linear/FF array counts must be >= 1")
-        if self.clock_ghz <= 0.0:
+        # Written as "not in range" so NaN (which fails every comparison)
+        # and inf are rejected along with out-of-range values.
+        if not 0.0 < self.clock_ghz < math.inf:
             raise ConfigurationError(f"clock must be > 0 GHz, got {self.clock_ghz}")
         if self.weight_refresh_cycles < 1:
             raise ConfigurationError(

@@ -137,8 +137,6 @@ class ServingEngine:
         use_batched_physics: evaluate each request group's dies through
             one batched corner-physics pass (see the scheduler).
         catalog: platform name -> accelerator factory override.
-        max_workers: thread-pool width for concurrent group evaluation
-            inside one flush.
 
     Example:
         >>> engine = ServingEngine()
@@ -156,7 +154,6 @@ class ServingEngine:
         max_pending: int = 64,
         use_batched_physics: bool = True,
         catalog: Optional[PlatformCatalog] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         if max_pending < 1:
             raise ConfigurationError(
@@ -167,7 +164,6 @@ class ServingEngine:
             cache=self.cache,
             catalog=catalog,
             use_batched_physics=use_batched_physics,
-            max_workers=max_workers,
         )
         self.max_pending = max_pending
         self.stats = ServingStats()

@@ -50,6 +50,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.engine.memo import LRUMemo
 from repro.errors import ConfigurationError
 from repro.serving.admission import AdmissionController
 from repro.serving.arrivals import ArrivalProcess, latency_quantiles
@@ -236,8 +237,9 @@ def _worker_main(
     # Serialized-report memo: cache hits return the same RunReport
     # object, so its (breakdown-dict-building) to_dict runs once per
     # distinct report.  The report reference in the value keeps the id
-    # stable for as long as the memo entry lives.
-    report_payloads: Dict[int, tuple] = {}
+    # stable for as long as the memo entry lives; the bound matches the
+    # report cache, beyond which hits stop returning the same object.
+    report_payloads = LRUMemo(max_entries=engine.cache.max_entries)
 
     def encode(response):
         report = response.report
@@ -247,7 +249,7 @@ def _worker_main(
             hit = report_payloads.get(id(report))
             if hit is None or hit[0] is not report:
                 hit = (report, report.to_dict())
-                report_payloads[id(report)] = hit
+                report_payloads.put(id(report), hit)
             payload = hit[1]
         return {
             "workload": response.request.workload,

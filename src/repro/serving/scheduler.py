@@ -13,19 +13,20 @@ the scheduler serves each one through the cheapest sufficient path:
    batched pass of the engine's corner physics
    (:func:`repro.core.engine.batch_context_physics_for`) instead of N
    scalar draws + TED solves; each job then replays through the ordinary
-   run path with its die's physics pinned, which is bit-identical to a
-   direct scalar run (the cost model reads exactly the pinned fields).
+   run path with its die's physics pinned, which matches a direct scalar
+   run (the cost model reads exactly the pinned fields) up to the
+   batched TED solve's float32 rounding.
 
-Groups evaluate concurrently.  The scheduler is synchronous; the
-asynchronous submission front-end lives in
-:mod:`repro.serving.engine`.
+Groups evaluate in order on the calling thread: the cost model is pure
+Python/NumPy compute, so a thread pool would only serialize on the GIL.
+The scheduler is synchronous; the asynchronous submission front-end
+lives in :mod:`repro.serving.engine`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -129,7 +130,6 @@ class BatchingScheduler:
             one batched corner-physics pass (disable to force scalar
             per-request physics — the numbers are identical; this is a
             benchmarking aid).
-        max_workers: thread-pool width for concurrent group evaluation.
     """
 
     def __init__(
@@ -137,14 +137,12 @@ class BatchingScheduler:
         cache: Optional[ReportCache] = None,
         catalog: Optional[PlatformCatalog] = None,
         use_batched_physics: bool = True,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.cache = cache
         self.catalog = (
             default_platform_catalog() if catalog is None else catalog
         )
         self.use_batched_physics = use_batched_physics
-        self.max_workers = max_workers
         self.stats = SchedulerStats()
         self._fingerprints: Dict[Tuple[str, int], str] = {}
         self._stats_lock = threading.Lock()
@@ -257,14 +255,9 @@ class BatchingScheduler:
         with self._stats_lock:
             self.stats.groups += len(groups)
 
-        # Pass 3: evaluate groups (concurrently when there are several).
-        items = list(groups.items())
-        if len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                list(pool.map(self._evaluate_group, items))
-        else:
-            for item in items:
-                self._evaluate_group(item)
+        # Pass 3: evaluate groups, in order.
+        for item in groups.items():
+            self._evaluate_group(item)
 
         # Pass 4: fan reports back out to every request of each job.
         for job in jobs.values():
@@ -338,8 +331,9 @@ class BatchingScheduler:
         One batched corner-physics pass per array geometry covers all
         the group's dies; each die's outcome (usable dims + correction
         power) is pinned onto its context, so the subsequent run-path
-        evaluations skip the per-die draws and TED solves while
-        producing bit-identical reports.
+        evaluations skip the per-die draws and TED solves (see
+        :func:`~repro.core.engine.batch_context_physics_for` for how
+        close the batched physics is to a one-die solve).
         """
         if (
             not self.use_batched_physics

@@ -40,8 +40,8 @@ _GRAPH_MEMO: dict = {}
 def clear_graph_memo() -> None:
     """Forget every memoized synthesized graph.
 
-    The naive benchmarking baselines (``run_sweep(memoize=False)``,
-    Monte-Carlo ``strategy="naive"``) call this per point so a fresh
+    The naive benchmarking baselines (sweep and Monte-Carlo
+    ``strategy="naive"``) call this per point so a fresh
     workload really pays graph synthesis, the way a cold process would.
     """
     _GRAPH_MEMO.clear()

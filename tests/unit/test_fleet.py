@@ -23,7 +23,7 @@ from repro.serving import (
     request_to_wire,
     wire_to_request,
 )
-from repro.serving.fleet import merge_counters
+from repro.serving.fleet import _worker_main, merge_counters
 
 
 def small_trace(num_requests=24, catalog_size=6, seed=0):
@@ -175,6 +175,70 @@ class TestMergeCounters:
             ]
         )
         assert merged["hit_rate"] == pytest.approx(0.5)
+
+
+class TestWorkerMain:
+    def test_report_memo_is_bounded_by_cache_entries(self, monkeypatch):
+        """The worker's serialized-report memo holds at most
+        ``cache_entries`` reports, and bounding it changes no response."""
+        import queue
+
+        import repro.serving.fleet as fleet_module
+        from repro.core.engine.memo import LRUMemo
+
+        memos = []
+
+        class RecordingMemo(LRUMemo):
+            def __init__(self, max_entries):
+                super().__init__(max_entries)
+                self.sizes = []
+                memos.append(self)
+
+            def put(self, key, value):
+                super().put(key, value)
+                self.sizes.append(len(self))
+
+        monkeypatch.setattr(fleet_module, "LRUMemo", RecordingMemo)
+        distinct = [
+            ServeRequest(workload="MLP-mnist", platform="tron", batch=batch)
+            for batch in range(1, 21)
+        ]
+        requests = distinct + distinct[:10]
+        inbox, outbox = queue.Queue(), queue.Queue()
+        for start in range(0, len(requests), 5):
+            inbox.put(
+                (
+                    "batch",
+                    [
+                        (i, request_to_wire(requests[i]))
+                        for i in range(start, start + 5)
+                    ],
+                )
+            )
+        inbox.put(("stop", None))
+        worker = threading.Thread(
+            target=_worker_main, args=(0, inbox, outbox, {"cache_entries": 4})
+        )
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+
+        answered = {}
+        while not outbox.empty():
+            kind, _, payload = outbox.get()
+            if kind == "batch":
+                answered.update(payload)
+        assert sorted(answered) == list(range(len(requests)))
+        (memo,) = memos
+        assert memo.max_entries == 4
+        assert len(memo.sizes) >= len(distinct)
+        assert max(memo.sizes) <= 4
+
+        with ServingEngine(cache_entries=4) as engine:
+            reference = engine.serve(requests)
+        for i, ref in enumerate(reference):
+            assert answered[i]["report"] == ref.report.to_dict()
+            assert answered[i]["error"] is None
 
 
 class TestServingFleet:

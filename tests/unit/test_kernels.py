@@ -293,8 +293,8 @@ class TestPrimeBreakdownCache:
 
 
 class TestGoldenFrontier:
-    """The 27-point BENCH_engine frontier is a golden: the batched
-    engine must reproduce it exactly."""
+    """The 27-point default TRON + GHOST sweep frontier is a golden:
+    the batched engine must reproduce it exactly."""
 
     TRON_FRONTIER = ["H16/A128/5.0GHz"]
     GHOST_FRONTIER = ["V32/N16", "V32/N32", "V32/N64"]

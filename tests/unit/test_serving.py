@@ -233,6 +233,52 @@ class TestBatchingScheduler:
         assert scheduler.stats.groups == 3
         assert scheduler.stats.batched_dies == 2
 
+    def test_groups_evaluate_on_the_calling_thread(self):
+        """A cold micro-batch spanning several (platform, batch, family)
+        groups builds every group's accelerator on the thread that
+        called ``execute``, and costs each request as a direct run."""
+        import threading
+
+        from repro.core import GHOST
+        from repro.core.tron import TRONConfig
+
+        builders = []
+
+        def recording(factory):
+            def build(batch):
+                builders.append(threading.current_thread())
+                return factory(batch)
+
+            return build
+
+        catalog = {
+            name: recording(factory)
+            for name, factory in default_platform_catalog().items()
+        }
+        requests = [
+            ServeRequest(workload="MLP-mnist"),
+            ServeRequest(workload="MLP-mnist", platform="tron", batch=4),
+            ServeRequest(workload="GCN-cora"),
+            ServeRequest(workload="MLP-mnist", ctx=resolve_corner("typical", 1)),
+            ServeRequest(workload="MLP-mnist", ctx=resolve_corner("typical", 2)),
+        ]
+        scheduler = BatchingScheduler(catalog=catalog)
+        responses = scheduler.execute(requests)
+        assert scheduler.stats.groups == 4
+        assert len(builders) >= scheduler.stats.groups
+        assert set(builders) == {threading.current_thread()}
+
+        direct = [
+            TRON().run(get_workload("MLP-mnist")),
+            TRON(TRONConfig(batch=4)).run(get_workload("MLP-mnist")),
+            GHOST().run(get_workload("GCN-cora")),
+        ]
+        for request in requests[3:]:
+            clear_physics_cache()
+            direct.append(TRON().run(get_workload("MLP-mnist"), ctx=request.ctx))
+        for response, report in zip(responses, direct):
+            assert response.report.to_dict() == report.to_dict()
+
 
 class TestServingEngine:
     def test_sync_serve_orders_responses(self):

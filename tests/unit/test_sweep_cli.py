@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.sweep import (
     SweepPoint,
     SweepSpace,
-    combined_sweep,
     format_sweep,
     ghost_sweep_space,
     pareto_frontier,
@@ -126,45 +125,24 @@ class TestSweepEngine:
         with pytest.raises(ConfigurationError):
             space.enumerate()
 
-    def test_parallel_and_sequential_agree(self):
+    def test_soa_and_serial_agree(self):
         space = tron_sweep_space(
             head_units=(4, 8), array_sizes=(32,), clocks_ghz=(5.0,)
         )
-        par = run_sweep(space, parallel=True)
-        seq = run_sweep(space, parallel=False)
-        assert [p.label for p in par] == [p.label for p in seq]
-        for a, b in zip(par, seq):
-            assert a.latency_ns == pytest.approx(b.latency_ns)
-            assert a.energy_pj == pytest.approx(b.energy_pj)
-
-    def test_naive_rejects_parallel_request(self):
-        space = tron_sweep_space(
-            head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
-        )
-        with pytest.raises(ConfigurationError):
-            run_sweep(space, parallel=True, memoize=False)
+        soa = run_sweep(space, strategy="soa")
+        serial = run_sweep(space, strategy="serial")
+        assert [p.label for p in soa] == [p.label for p in serial]
+        for a, b in zip(soa, serial):
+            assert a.report.to_dict() == b.report.to_dict()
 
     def test_memoized_matches_naive(self):
         space = ghost_sweep_space(lanes=(8, 16), edge_units=(32,))
-        fast = run_sweep(space, memoize=True)
-        naive = run_sweep(space, memoize=False)
+        fast = run_sweep(space)
+        naive = run_sweep(space, strategy="naive")
         assert [p.label for p in fast] == [p.label for p in naive]
         for a, b in zip(fast, naive):
             assert a.latency_ns == pytest.approx(b.latency_ns)
             assert a.energy_pj == pytest.approx(b.energy_pj)
-
-    def test_combined_sweep_covers_both_targets(self):
-        results = combined_sweep(
-            [
-                tron_sweep_space(
-                    head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
-                ),
-                ghost_sweep_space(lanes=(8,), edge_units=(16,)),
-            ]
-        )
-        assert set(results) == {"tron", "ghost"}
-        assert results["tron"][0].report.platform == "TRON"
-        assert results["ghost"][0].report.platform == "GHOST"
 
     def test_custom_space_over_any_workload(self):
         """The engine is workload-agnostic: any evaluate fn works."""
@@ -200,7 +178,7 @@ class TestSweepStrategies:
         for space in self._spaces():
             batched = run_sweep(space, strategy="batched")
             serial = run_sweep(space, strategy="serial")
-            naive = run_sweep(space, memoize=False)
+            naive = run_sweep(space, strategy="naive")
             assert [p.label for p in batched] == [p.label for p in serial]
             for a, b, c in zip(batched, serial, naive):
                 assert a.report.latency_ns == b.report.latency_ns
@@ -222,6 +200,24 @@ class TestSweepStrategies:
         )
         with pytest.raises(ConfigurationError):
             run_sweep(space, strategy="gpu")
+
+    def test_strategy_names_and_stats(self):
+        from repro.analysis.sweep import STRATEGIES, run_sweep_with_stats
+
+        assert STRATEGIES == ("soa", "batched", "serial", "naive")
+        space = tron_sweep_space(
+            head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
+        )
+        for strategy in STRATEGIES:
+            points, stats = run_sweep_with_stats(space, strategy=strategy)
+            assert stats.strategy == strategy
+            assert stats.points == len(points) == 1
+        parser = build_parser()
+        for strategy in ("soa", "batched", "serial"):
+            args = parser.parse_args(["sweep", "tron", "--strategy", strategy])
+            assert args.strategy == strategy
+        with pytest.raises(SystemExit):
+            parser.parse_args(["sweep", "tron", "--strategy", "naive"])
 
     def test_batched_groups_duplicate_signatures(self):
         """Points sharing platform + config + normalized context cost
@@ -260,33 +256,10 @@ class TestSweepStrategies:
             {"typical": ExecutionContext(variation=ProcessVariationModel())},
         )
         batched = run_sweep(space, strategy="batched")
-        naive = run_sweep(space, memoize=False)
+        naive = run_sweep(space, strategy="naive")
         for a, b in zip(batched, naive):
             assert a.report.latency_ns == b.report.latency_ns
             assert a.report.energy_pj == b.report.energy_pj
-
-    def test_process_fallback_matches_batched(self):
-        from repro.analysis.sweep import run_sweep_in_processes
-
-        kwargs = {
-            "head_units": (4, 8),
-            "array_sizes": (32,),
-            "clocks_ghz": (5.0,),
-        }
-        in_process = run_sweep(tron_sweep_space(**kwargs))
-        across = run_sweep_in_processes(
-            "repro.analysis.sweep:tron_sweep_space", kwargs, max_workers=2
-        )
-        assert [p.label for p in across] == [p.label for p in in_process]
-        for a, b in zip(across, in_process):
-            assert a.report.latency_ns == b.report.latency_ns
-            assert a.report.energy_pj == b.report.energy_pj
-
-    def test_process_fallback_rejects_bad_factory(self):
-        from repro.analysis.sweep import run_sweep_in_processes
-
-        with pytest.raises(ConfigurationError):
-            run_sweep_in_processes("not-a-factory-path")
 
 
 class TestCornerAxis:
@@ -325,8 +298,8 @@ class TestCornerAxis:
             self._space(),
             {"typical": ExecutionContext(variation=ProcessVariationModel())},
         )
-        fast = run_sweep(space, memoize=True)
-        naive = run_sweep(space, memoize=False)
+        fast = run_sweep(space)
+        naive = run_sweep(space, strategy="naive")
         assert [p.label for p in fast] == [p.label for p in naive]
         for a, b in zip(fast, naive):
             assert a.energy_pj == pytest.approx(b.energy_pj)
@@ -372,16 +345,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "TRON" in out and "GHOST" in out
 
-    def test_run_llm(self, capsys):
-        assert main(["run-llm", "BERT-base", "--batch", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "BERT-base" in out and "GOPS" in out
-
-    def test_run_gnn(self, capsys):
-        assert main(["run-gnn", "gcn", "cora"]) == 0
-        out = capsys.readouterr().out
-        assert "gcn-cora" in out
-
     def test_sweep_tron_smoke(self, capsys):
         # Full sweep is slow; just exercise the parser path.
         parser = build_parser()
@@ -424,10 +387,6 @@ class TestCLI:
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
         assert "BERT-base" in out and "GCN-cora" in out
-
-    def test_unknown_model_fails_cleanly(self):
-        with pytest.raises(Exception):
-            main(["run-llm", "BERT-giant"])
 
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -496,10 +455,6 @@ class TestCLI:
         assert len(rows) == 8  # 4 corners x 2 platforms
         nominal = [r for r in rows if r["corner"] == "nominal"]
         assert all(r["correction_power_mw"] == 0.0 for r in nominal)
-
-    def test_run_gnn_seed_flag(self, capsys):
-        assert main(["run-gnn", "gcn", "cora", "--seed", "3"]) == 0
-        assert "gcn-cora" in capsys.readouterr().out
 
     def test_sweep_parser_accepts_new_flags(self):
         args = build_parser().parse_args(

@@ -64,7 +64,7 @@ def profile_sweep(naive: bool = False, top: int = 20) -> pstats.Stats:
     profiler.enable()
     for space in spaces:
         if naive:
-            run_sweep(space, memoize=False, parallel=False)
+            run_sweep(space, strategy="naive")
         else:
             run_sweep(space, strategy="batched")
     profiler.disable()

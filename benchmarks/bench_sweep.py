@@ -1,16 +1,14 @@
-"""The sweep engine strategies vs. naive per-point re-evaluation.
+"""The sweep engine's ``soa`` strategy vs. naive per-point re-evaluation.
 
-A >= 500 point combined TRON + GHOST knob grid evaluated through the batched
-strategy (one workload materialization, one vectorized device-physics
-kernel call, signature-grouped run-path evaluation) and the ``soa``
-strategy (the array-resident path: the whole grid as stacked NumPy
-columns, scalar reports materialized from the stack) against the naive
-sequential baseline (per-point workload rebuild + physics recompute).
-Both engine strategies must be **bit-identical** to scalar runs —
-every Pareto-frontier point is re-evaluated naively and compared
-exactly, and every soa point is compared against its batched twin —
-and the speedups must hold the bars ``run_sweep_bench.py`` gates on
-when it records BENCH_sweep.json.
+A >= 500 point combined TRON + GHOST knob grid evaluated through the
+``soa`` strategy (the array-resident path: the whole grid as stacked
+NumPy columns, scalar reports materialized from the stack) against the
+naive sequential baseline (per-point workload rebuild + physics
+recompute).  The soa path must be **bit-identical** to scalar runs —
+every soa point is compared against its naive twin, and every
+Pareto-frontier point is re-evaluated through a fresh scalar run and
+compared exactly — and the speedup must hold the bar
+``run_sweep_bench.py`` gates on when it records BENCH_sweep.json.
 """
 
 import time
@@ -56,12 +54,20 @@ def _evaluate_point_naively(space, point):
     return space.build_accelerator(knobs).run(workload, ctx=None)
 
 
-def measure_batched_sweep(quick: bool = False):
-    """Benchmark record of the batched sweep vs. the naive baseline.
+def _mismatches(points, reference):
+    """Points whose report differs from their reference twin."""
+    return sum(
+        a.report.to_dict() != b.report.to_dict()
+        for a, b in zip(points, reference)
+    )
+
+
+def measure_sweep(quick: bool = False):
+    """Benchmark record of the soa sweep vs. the naive baseline.
 
     Returns a dict with wall times, the speedup, the per-space frontier
-    labels and the number of batched-vs-scalar mismatches over every
-    frontier point (which must be 0).
+    labels and the number of soa-vs-scalar mismatches over every point
+    and every frontier point (both must be 0).
     """
     spaces = production_spaces(quick=quick)
 
@@ -74,18 +80,11 @@ def measure_batched_sweep(quick: bool = False):
     }
     naive_s = time.perf_counter() - t0
 
-    # Warm the graph memo outside the timed regions: both engine arms
-    # then measure evaluation cost rather than one-time dataset
-    # synthesis (the naive baseline clears the memo per point above).
+    # Warm the graph memo outside the timed region: the soa arm then
+    # measures evaluation cost rather than one-time dataset synthesis
+    # (the naive baseline clears the memo per point above).
     for space in spaces:
         space.build_workload().materialize()
-
-    clear_physics_cache()
-    t0 = time.perf_counter()
-    batched = {
-        space.name: run_sweep(space, strategy="batched") for space in spaces
-    }
-    batched_s = time.perf_counter() - t0
 
     clear_physics_cache()
     t0 = time.perf_counter()
@@ -94,21 +93,21 @@ def measure_batched_sweep(quick: bool = False):
     }
     soa_s = time.perf_counter() - t0
 
-    num_points = sum(len(points) for points in batched.values())
+    num_points = sum(len(points) for points in soa.values())
     frontiers = {}
     mismatches = 0
     soa_mismatches = 0
     frontier_points = 0
     for space in spaces:
-        batched_frontier = pareto_frontier(batched[space.name])
+        soa_frontier = pareto_frontier(soa[space.name])
         naive_frontier = pareto_frontier(naive[space.name])
-        assert [p.label for p in batched_frontier] == [
+        assert [p.label for p in soa_frontier] == [
             p.label for p in naive_frontier
-        ], f"{space.name}: frontier drift between batched and naive sweeps"
-        frontiers[space.name] = [p.label for p in batched_frontier]
+        ], f"{space.name}: frontier drift between soa and naive sweeps"
+        frontiers[space.name] = [p.label for p in soa_frontier]
         # Bit-exact reconstruction check: every frontier point re-costed
-        # through a fresh scalar run must match the batched report.
-        for point in batched_frontier:
+        # through a fresh scalar run must match the soa report.
+        for point in soa_frontier:
             frontier_points += 1
             scalar = _evaluate_point_naively(space, point)
             if (
@@ -117,22 +116,14 @@ def measure_batched_sweep(quick: bool = False):
             ):
                 mismatches += 1
         # Every soa point (not just the frontier) must reproduce its
-        # batched twin bit for bit — the array-resident path's contract.
-        for soa_point, batched_point in zip(
-            soa[space.name], batched[space.name]
-        ):
-            if soa_point.report.to_dict() != batched_point.report.to_dict():
-                soa_mismatches += 1
+        # naive twin bit for bit — the array-resident path's contract.
+        soa_mismatches += _mismatches(soa[space.name], naive[space.name])
     return {
-        "bench": "combined TRON+GHOST design-space sweep (soa/batched/naive)",
+        "bench": "combined TRON+GHOST design-space sweep (soa/naive)",
         "points": num_points,
         "soa_wall_s": round(soa_s, 4),
-        "batched_wall_s": round(batched_s, 4),
         "naive_sequential_wall_s": round(naive_s, 4),
-        "speedup": round(naive_s / batched_s, 2),
         "soa_speedup": round(naive_s / soa_s, 2),
-        "soa_vs_batched": round(batched_s / soa_s, 2),
-        "points_per_sec": round(num_points / batched_s, 1),
         "soa_points_per_sec": round(num_points / soa_s, 1),
         "frontier_points_checked": frontier_points,
         "frontier_mismatches": mismatches,
@@ -142,7 +133,7 @@ def measure_batched_sweep(quick: bool = False):
 
 
 def measure_perf_smoke():
-    """soa vs batched points/sec on a medium grid (no naive arm).
+    """soa vs serial points/sec on a medium grid (no naive arm).
 
     The 8-point quick grid is dominated by one-time physics setup, so a
     throughput ratio there is noise; this 128-point grid is big enough
@@ -166,10 +157,10 @@ def measure_perf_smoke():
 
     clear_physics_cache()
     t0 = time.perf_counter()
-    batched = {
-        space.name: run_sweep(space, strategy="batched") for space in spaces
+    serial = {
+        space.name: run_sweep(space, strategy="serial") for space in spaces
     }
-    batched_s = time.perf_counter() - t0
+    serial_s = time.perf_counter() - t0
 
     clear_physics_cache()
     t0 = time.perf_counter()
@@ -178,36 +169,31 @@ def measure_perf_smoke():
     }
     soa_s = time.perf_counter() - t0
 
-    num_points = sum(len(points) for points in batched.values())
-    mismatches = 0
-    for space in spaces:
-        for soa_point, batched_point in zip(
-            soa[space.name], batched[space.name]
-        ):
-            if soa_point.report.to_dict() != batched_point.report.to_dict():
-                mismatches += 1
+    num_points = sum(len(points) for points in serial.values())
+    mismatches = sum(
+        _mismatches(soa[space.name], serial[space.name]) for space in spaces
+    )
     return {
-        "bench": "soa vs batched sweep perf smoke",
+        "bench": "soa vs serial sweep perf smoke",
         "points": num_points,
         "soa_wall_s": round(soa_s, 4),
-        "batched_wall_s": round(batched_s, 4),
-        "points_per_sec": round(num_points / batched_s, 1),
+        "serial_wall_s": round(serial_s, 4),
+        "points_per_sec": round(num_points / serial_s, 1),
         "soa_points_per_sec": round(num_points / soa_s, 1),
-        "soa_vs_batched": round(batched_s / soa_s, 2),
+        "soa_vs_serial": round(serial_s / soa_s, 2),
         "soa_mismatches": mismatches,
     }
 
 
-def test_batched_sweep_speedup(run_once):
-    record = run_once(measure_batched_sweep, quick=True)
+def test_sweep_speedup(run_once):
+    record = run_once(measure_sweep, quick=True)
     print()
     print(
         f"quick grid: {record['points']} points, "
-        f"{record['speedup']:.1f}x batched / "
         f"{record['soa_speedup']:.1f}x soa vs naive"
     )
     assert record["frontier_mismatches"] == 0
     assert record["soa_mismatches"] == 0
-    # The quick grid is tiny (8 points), so the batched advantage is
+    # The quick grid is tiny (8 points), so the soa advantage is
     # bounded by the per-point workload rebuild it amortizes away.
-    assert record["speedup"] >= 2.0
+    assert record["soa_speedup"] >= 2.0

@@ -21,20 +21,18 @@ Two evaluation paths produce the same numbers:
   die's ring errors / TED heater solves / yield gating evaluate in one
   batched numpy pass per array geometry
   (:func:`repro.core.engine.batch_context_physics`), samples collapse
-  into groups sharing a yield signature, and each group costs through
-  the run path exactly once per unknown (a zero-correction run plus one
-  unit-correction run per geometry — report energy is linear in the
-  standing correction power, so every sample in the group is an exact
-  affine combination).
+  into groups sharing a yield signature, and each group's unknowns —
+  a zero-correction run plus one unit-correction run per geometry —
+  cost once (report energy is linear in the standing correction power,
+  so every sample in the group is an exact affine combination).
 
-The vectorized path resolves its unknowns through one of two strategies:
-``"soa"`` (the default) stacks every signature's pinned contexts into a
-single array-resident evaluation
-(:func:`repro.core.engine.soa_evaluator`) — the sample axis becomes one
-more tensor axis, and the whole unknown set costs as a handful of NumPy
-ops; ``"grouped"`` is the scalar per-signature replay (one
-``Accelerator.run`` per unknown, groups evaluated in order), which
-platforms without a registered evaluator fall back to automatically.
+The vectorized path resolves those unknowns in one stacked
+array-resident evaluation when the platform registers an evaluator for
+the workload kind (:func:`repro.core.engine.soa_evaluator`) — the
+sample axis becomes one more tensor axis — and otherwise with one
+scalar ``Accelerator.run`` per unknown (recorded as
+``fallback_points``).  Both resolutions use the same contexts and the
+same reconstruction, and agree bit for bit.
 
 The naive and vectorized paths agree to float rounding, not bit for
 bit, when thermal-eigenmode decomposition (TED) tuning is on: the
@@ -42,8 +40,6 @@ vectorized path solves every die's heaters in one float32 matmul
 (:func:`repro.core.engine.batch_context_physics`), which rounds
 differently from a one-die solve, so on a 512-die TRON population a
 die's energy can sit about 5e-9 relative off the naive value.
-``"soa"`` and ``"grouped"`` share those batched physics and agree bit
-for bit.
 """
 
 from __future__ import annotations
@@ -67,10 +63,6 @@ from repro.errors import ConfigurationError, YieldError
 
 #: Default yield threshold of the yield-aware Pareto frontier.
 DEFAULT_YIELD_THRESHOLD = 0.9
-
-#: The Monte-Carlo evaluation strategies of :func:`run_monte_carlo`.
-MC_STRATEGIES = ("soa", "grouped", "naive")
-
 
 # ----------------------------------------------------------------------
 # Result containers
@@ -233,7 +225,6 @@ def run_monte_carlo(
     context: ExecutionContext,
     samples: int = 256,
     vectorized: bool = True,
-    strategy: Optional[str] = None,
 ) -> MonteCarloResult:
     """Evaluate one configuration over ``samples`` sampled dies.
 
@@ -245,16 +236,13 @@ def run_monte_carlo(
             corner and tuner range define the die population; its seed
             picks the population's first die.
         samples: number of dies (N).
-        vectorized: batched engine (default) vs. the naive N-scalar-runs
-            baseline; both produce the same distributions up to the
-            TED float rounding described in the module docstring.
-        strategy: explicit evaluation strategy — ``"soa"`` (the default
-            with ``vectorized=True``) resolves every yield-signature
-            unknown in one stacked array-resident evaluation,
-            ``"grouped"`` replays each unknown through the scalar run
-            path, ``"naive"`` is the N-scalar-runs baseline.  ``"soa"``
-            and ``"grouped"`` produce bit-identical distributions;
-            ``"naive"`` matches them bit for bit only with TED off.
+        vectorized: batched engine (default; its unknowns resolve
+            array-resident, or per unknown through the scalar run path
+            when no evaluator is registered) vs. the naive
+            N-scalar-runs baseline.  Both produce the same
+            distributions, bit for bit with TED off and up to the TED
+            float rounding described in the module docstring with it
+            on.
 
     Example:
         >>> from repro.core import TRON, get_workload
@@ -276,22 +264,9 @@ def run_monte_carlo(
         raise ConfigurationError(
             "Monte-Carlo needs a sampling context (no pinned overrides)"
         )
-    if strategy is None:
-        strategy = "soa" if vectorized else "naive"
-    if strategy not in MC_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown Monte-Carlo strategy {strategy!r}; pick one of "
-            f"{MC_STRATEGIES}"
-        )
-    if strategy == "naive":
+    if not vectorized:
         return _run_naive(make_accelerator, make_workload, context, samples)
-    return _run_vectorized(
-        make_accelerator,
-        make_workload,
-        context,
-        samples,
-        use_soa=(strategy == "soa"),
-    )
+    return _run_vectorized(make_accelerator, make_workload, context, samples)
 
 
 def _result(
@@ -372,7 +347,7 @@ def _run_naive(
 
 
 def _run_vectorized(
-    make_accelerator, make_workload, context, samples, use_soa: bool = True
+    make_accelerator, make_workload, context, samples
 ) -> MonteCarloResult:
     """One batched physics pass + one run-path evaluation per unknown."""
     workload = make_workload()
@@ -397,101 +372,62 @@ def _run_vectorized(
 
     # Samples sharing a yield signature differ only in their standing
     # correction power, which report energy is linear in — so each group
-    # costs through the run path once at zero correction plus once per
-    # geometry at unit correction.
+    # has 1 + len(geometries) unknowns: a run at zero correction plus
+    # one per geometry at unit correction.
     signatures: Dict[Tuple, List[int]] = {}
     for i in np.flatnonzero(operational):
         signature = tuple(
             (int(b.usable_rows[i]), int(b.usable_cols[i])) for b in batches
         )
         signatures.setdefault(signature, []).append(i)
-
-    latency_ns = np.full(samples, np.nan)
-    energy_pj = np.full(samples, np.nan)
     signature_items = list(signatures.items())
-
-    evaluator = None
-    config = getattr(probe, "config", None)
-    if use_soa and config is not None:
-        evaluator = soa_evaluator(probe.name, workload.kind)
-
-    if evaluator is not None:
-        # Array-resident resolution: every signature's unknowns — the
-        # zero-correction base plus one unit-correction context per
-        # geometry — stack into ONE evaluation (the sample axis is just
-        # one more tensor axis), then each sample reconstructs as the
-        # scalar path's exact affine combination.  An empty signature
-        # set (no operational dies) has nothing to evaluate.
-        stride = 1 + len(geometries)
-        contexts = []
-        for signature, _ in signature_items:
-            pinned = {
-                (spec.rows, spec.cols): PinnedArrayPhysics(rows, cols, 0.0)
-                for spec, (rows, cols) in zip(geometries, signature)
-            }
-            contexts.append(context.with_pinned(pinned))
-            for spec, (rows, cols) in zip(geometries, signature):
-                unit_pinned = dict(pinned)
-                unit_pinned[(spec.rows, spec.cols)] = PinnedArrayPhysics(
-                    rows, cols, 1.0
-                )
-                contexts.append(context.with_pinned(unit_pinned))
-        if contexts:
-            stacked = evaluator([config] * len(contexts), contexts, workload)
-            stacked_latency = stacked.latency_ns
-            stacked_energy = stacked.energy_pj
-        for group, (signature, indices) in enumerate(signature_items):
-            base_index = group * stride
-            base_latency = float(stacked_latency[base_index])
-            base_energy = float(stacked_energy[base_index])
-            slopes = [
-                float(stacked_energy[base_index + 1 + g]) - base_energy
-                for g in range(len(geometries))
-            ]
-            for i in indices:
-                latency_ns[i] = base_latency
-                energy_pj[i] = base_energy + sum(
-                    slope * float(batch.correction_power_mw[i])
-                    for slope, batch in zip(slopes, batches)
-                )
-        return _result(
-            probe,
-            workload,
-            nominal,
-            context,
-            operational,
-            fully_functional,
-            latency_ns,
-            energy_pj,
-            tuning_power_mw,
-            evaluation=SoAStats(
-                strategy="soa",
-                points=samples,
-                groups=len(signature_items),
-            ),
-        )
-
-    for signature, indices in signature_items:
+    contexts = []
+    for signature, _ in signature_items:
         pinned = {
             (spec.rows, spec.cols): PinnedArrayPhysics(rows, cols, 0.0)
             for spec, (rows, cols) in zip(geometries, signature)
         }
-        base = make_accelerator().run(
-            workload, ctx=context.with_pinned(pinned)
-        )
-        slopes = []
+        contexts.append(context.with_pinned(pinned))
         for spec, (rows, cols) in zip(geometries, signature):
             unit_pinned = dict(pinned)
             unit_pinned[(spec.rows, spec.cols)] = PinnedArrayPhysics(
                 rows, cols, 1.0
             )
-            unit = make_accelerator().run(
-                workload, ctx=context.with_pinned(unit_pinned)
-            )
-            slopes.append(unit.energy_pj - base.energy_pj)
+            contexts.append(context.with_pinned(unit_pinned))
+
+    # Resolve every unknown in one stacked array-resident evaluation (the
+    # sample axis is one more tensor axis), or through the scalar run
+    # path when the platform has no evaluator for this workload kind.
+    config = getattr(probe, "config", None)
+    evaluator = (
+        soa_evaluator(probe.name, workload.kind) if config is not None else None
+    )
+    unknown_latency: List[float] = []
+    unknown_energy: List[float] = []
+    if evaluator is None:
+        for ctx in contexts:
+            report = probe.run(workload, ctx=ctx)
+            unknown_latency.append(report.latency_ns)
+            unknown_energy.append(report.energy_pj)
+    elif contexts:  # no operational dies leaves nothing to evaluate
+        stacked = evaluator([config] * len(contexts), contexts, workload)
+        unknown_latency = stacked.latency_ns.tolist()
+        unknown_energy = stacked.energy_pj.tolist()
+
+    # Each sample is its group's exact affine combination.
+    latency_ns = np.full(samples, np.nan)
+    energy_pj = np.full(samples, np.nan)
+    stride = 1 + len(geometries)
+    for group, (_, indices) in enumerate(signature_items):
+        base = group * stride
+        base_energy = unknown_energy[base]
+        slopes = [
+            unknown_energy[base + 1 + g] - base_energy
+            for g in range(len(geometries))
+        ]
         for i in indices:
-            latency_ns[i] = base.latency_ns
-            energy_pj[i] = base.energy_pj + sum(
+            latency_ns[i] = unknown_latency[base]
+            energy_pj[i] = base_energy + sum(
                 slope * float(batch.correction_power_mw[i])
                 for slope, batch in zip(slopes, batches)
             )
@@ -507,10 +443,10 @@ def _run_vectorized(
         energy_pj,
         tuning_power_mw,
         evaluation=SoAStats(
-            strategy="soa" if use_soa else "grouped",
+            strategy="soa",
             points=samples,
             groups=len(signature_items),
-            fallback_points=samples if use_soa else 0,
+            fallback_points=samples if evaluator is None else 0,
         ),
     )
 

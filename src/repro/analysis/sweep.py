@@ -13,16 +13,11 @@ whole grid becomes structure-of-arrays columns and a registered platform
 evaluator (:func:`repro.core.engine.soa_evaluator`) computes every
 point's energy / latency breakdown as a handful of NumPy ops, with
 scalar :class:`SweepPoint` reports materialized from the stacked columns
-afterwards (lazily, in :func:`run_sweep_soa`).  Spaces without an
-evaluator fall back to the **batched** strategy: the workload
-materializes once, every distinct array geometry's device physics is
-computed in one vectorized kernel call
-(:func:`repro.core.engine.prime_breakdown_cache`), points collapse into
-groups sharing a run-path signature — platform, full configuration and
-normalized execution context, exactly how
-:mod:`repro.analysis.robustness` groups Monte-Carlo dies — and each
-group costs through the run path once.  Both paths are bit-identical to
-scalar runs because the kernels replicate the scalar operation order.
+afterwards (lazily, in :func:`run_sweep_soa`).  The evaluators replicate
+the scalar operation order, so their reports are bit-identical to the
+**serial** strategy's plain scalar runs — the one scalar path, which is
+both the reference the columns are tested against and the fallback for
+spaces without an evaluator.
 
 The classic TRON and GHOST sweeps are thin wrappers
 (:func:`sweep_tron` / :func:`sweep_ghost`); any registered workload and
@@ -43,7 +38,6 @@ from repro.core.engine import (
     SoAStats,
     clear_physics_cache,
     pareto_mask,
-    prime_breakdown_cache,
     soa_evaluator,
 )
 from repro.core.ghost import GHOST, GHOSTConfig
@@ -59,7 +53,7 @@ from repro.workloads import (
 )
 
 #: The sweep evaluation strategies of :func:`run_sweep`.
-STRATEGIES = ("soa", "batched", "serial", "naive")
+STRATEGIES = ("soa", "serial", "naive")
 
 
 @dataclass(frozen=True)
@@ -129,17 +123,18 @@ class SweepSpace:
             sweep.
         platform: platform name of the accelerators this space builds
             (e.g. ``"TRON"``), keying the array-resident evaluator
-            registry.  ``None`` keeps the space on the scalar strategies
-            (the ``soa`` strategy then falls back to ``batched``).
+            registry.  ``None`` keeps the space on the scalar path (the
+            ``soa`` strategy then falls back to ``serial``).
         build_config: knob values -> bare platform configuration, the
             cheap counterpart of ``build_accelerator`` the array-resident
             path uses (no executor / block construction per point).
             Contract: a config depends on the knob setting only, never
-            on the corner.  The ``soa`` and ``batched`` strategies call
-            ``build_config`` / ``build_accelerator`` once per knob
-            setting, with a knob dict that has no ``corner`` entry, and
-            every corner of that setting shares the result; corners
-            reach the evaluator only as execution contexts.
+            on the corner.  The ``soa`` strategy calls ``build_config``
+            once per knob setting, with a knob dict that has no
+            ``corner`` entry, and every corner of that setting shares
+            the result; corners reach the evaluator only as execution
+            contexts.  The scalar strategies call ``build_accelerator``
+            once per point, with the point's knobs.
     """
 
     name: str
@@ -220,86 +215,31 @@ def with_corners(
 def _normalized_context(
     ctx: Optional[ExecutionContext],
 ) -> Optional[ExecutionContext]:
-    """``None`` and nominal contexts share one run-path signature (they
-    cost bit-identically by construction)."""
+    """``None`` and nominal contexts cost bit-identically by
+    construction, so the evaluator sees (and groups) them as one."""
     if ctx is None or ctx.is_nominal:
         return None
     return ctx
 
 
-def _physics_requests(accelerator: Accelerator) -> List[Tuple]:
-    """The nominal breakdown-cache keys this accelerator's run will hit.
-
-    Every unit costs with the default average weight magnitude; the
-    refresh windows in play are the config's weight-stationary window
-    and the un-amortized default.
-    """
-    specs = getattr(accelerator, "array_specs", None)
-    if specs is None:
-        return []
-    refresh = getattr(accelerator.config, "weight_refresh_cycles", 1)
-    requests = []
-    for spec in specs():
-        requests.append((spec, 0.5, refresh))
-        if refresh != 1:
-            requests.append((spec, 0.5, 1))
-    return requests
-
-
-def _run_batched(
-    space: SweepSpace, evaluations: List[Tuple]
+def _run_scalar(
+    space: SweepSpace, evaluations: List[Tuple], naive: bool
 ) -> List[SweepPoint]:
-    """The configuration-batched sweep path (see :func:`run_sweep`)."""
-    workload = space.build_workload()
-    workload.materialize()  # once, shared by every point
-
-    # One accelerator and one config signature per knob setting, shared
-    # by the setting's corners (see SweepSpace.build_config; evaluations
-    # run in grid order, corners innermost).
-    settings = space.enumerate()
-    per_setting = max(1, len(space.corners))
-    setting_of = [index // per_setting for index in range(len(evaluations))]
-    accelerators: Dict[int, Accelerator] = {}
-    config_reprs: Dict[int, str] = {}
-    for setting in setting_of:
-        if setting not in accelerators:
-            accelerator = space.build_accelerator(settings[setting])
-            accelerators[setting] = accelerator
-            config_reprs[setting] = repr(accelerator.config)
-    # One vectorized kernel call computes every distinct array
-    # geometry's device-physics curve before any point runs.
-    requests = []
-    for accelerator in accelerators.values():
-        requests.extend(_physics_requests(accelerator))
-    prime_breakdown_cache(requests)
-
-    # Group points by run-path signature — platform, configuration and
-    # normalized context — exactly how the Monte-Carlo engine groups
-    # dies by yield signature: each group costs through the run path
-    # once and every member reuses the report (requests differing only
-    # in label, e.g. duplicated corner axes, never re-run).
-    groups: Dict[Tuple, List[int]] = {}
-    signatures = []
-    for index, ((_, _, ctx), setting) in enumerate(
-        zip(evaluations, setting_of)
-    ):
-        signature = (
-            type(accelerators[setting]).__name__,
-            config_reprs[setting],
-            _normalized_context(ctx),
-        )
-        signatures.append(signature)
-        groups.setdefault(signature, []).append(index)
-
-    reports: Dict[Tuple, RunReport] = {}
-    for signature, members in groups.items():
-        _, _, ctx = evaluations[members[0]]
-        accelerator = accelerators[setting_of[members[0]]]
-        reports[signature] = accelerator.run(workload, ctx=ctx)
-    return [
-        SweepPoint(label=label, knobs=knobs, report=reports[signature])
-        for (knobs, label, _), signature in zip(evaluations, signatures)
-    ]
+    """One plain scalar run per point (see :func:`run_sweep`): the
+    ``serial`` oracle and ``soa`` fallback, or with ``naive`` the
+    baseline that re-materializes the workload from cleared caches."""
+    if not naive:
+        workload = space.build_workload()
+        workload.materialize()  # once, shared by every point
+    points = []
+    for knobs, label, ctx in evaluations:
+        if naive:
+            clear_physics_cache()
+            clear_graph_memo()
+            workload = space.build_workload()
+        report = space.build_accelerator(knobs).run(workload, ctx=ctx)
+        points.append(SweepPoint(label=label, knobs=knobs, report=report))
+    return points
 
 
 def _soa_stack(
@@ -309,7 +249,7 @@ def _soa_stack(
 
     Returns ``None`` when the space carries no platform / bare-config
     factory or no evaluator is registered for (platform, workload kind)
-    — the callers then fall back to the batched scalar path.
+    — the callers then fall back to the serial scalar path.
     """
     if space.platform is None or space.build_config is None:
         return None
@@ -336,11 +276,11 @@ def _run_soa(
     space: SweepSpace, evaluations: List[Tuple]
 ) -> Tuple[List[SweepPoint], SoAStats]:
     """The array-resident sweep path (see :func:`run_sweep`), with its
-    evaluation stats.  Falls back to :func:`_run_batched` (recorded as
+    evaluation stats.  Falls back to :func:`_run_scalar` (recorded as
     ``fallback_points``) when the space has no registered evaluator."""
     stack = _soa_stack(space, evaluations)
     if stack is None:
-        points = _run_batched(space, evaluations)
+        points = _run_scalar(space, evaluations, naive=False)
         stats = SoAStats(
             strategy="soa",
             points=len(points),
@@ -452,17 +392,11 @@ def run_sweep(
       materialize from the stacked columns afterwards.  Spaces without
       an evaluator (no ``platform`` / ``build_config``, or an
       unregistered workload kind) transparently fall back to
-      ``"batched"``.  Use :func:`run_sweep_soa` to keep the columns
+      ``"serial"``.  Use :func:`run_sweep_soa` to keep the columns
       resident and skip materialization entirely.
-    - ``"batched"`` — the scalar production path (and the ``soa``
-      fallback): materialize the workload once, compute all device
-      physics in one vectorized kernel call, group points by run-path
-      signature and cost each group once.
-    - ``"serial"`` — one plain scalar run per point (memoized state,
-      no grouping); the reference the batched path is tested against,
-      and the path to use when every point must own a distinct report
-      object (batched grouping shares one report across
-      duplicate-signature points).
+    - ``"serial"`` — one plain scalar run per point on a workload
+      materialized once; the reference the ``soa`` columns are tested
+      against, and their fallback.
     - ``"naive"`` — the baseline the benchmarks compare against: every
       point re-materializes its workload and recomputes the physics
       curves from cleared caches.
@@ -495,21 +429,7 @@ def run_sweep_with_stats(
 
     if strategy == "soa":
         return _run_soa(space, evaluations)
-    if strategy == "batched":
-        points = _run_batched(space, evaluations)
-        return points, SoAStats(strategy="batched", points=len(points))
-    naive = strategy == "naive"
-    if not naive:
-        workload = space.build_workload()
-        workload.materialize()  # once, shared by every point
-    points = []
-    for knobs, label, ctx in evaluations:
-        if naive:
-            clear_physics_cache()
-            clear_graph_memo()
-            workload = space.build_workload()
-        report = space.build_accelerator(knobs).run(workload, ctx=ctx)
-        points.append(SweepPoint(label=label, knobs=knobs, report=report))
+    points = _run_scalar(space, evaluations, naive=strategy == "naive")
     return points, SoAStats(strategy=strategy, points=len(points))
 
 

@@ -514,7 +514,7 @@ SCHEMAS: Dict[str, Dict[str, Any]] = {
         "cache",
         {},
         {
-            "path": _STRING,
+            "path": {"type": ["string", "null"]},
             "entries": _NON_NEGATIVE_INT,
         },
         ["path", "entries"],

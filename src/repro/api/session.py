@@ -292,17 +292,14 @@ class Session:
         tuner_range_nm: Optional[float] = None,
         vectorized: bool = True,
         overrides: Optional[Mapping[str, Any]] = None,
-        strategy: Optional[str] = None,
     ) -> MonteCarloRunResult:
         """Monte-Carlo variation analysis over ``samples`` sampled dies.
 
         The sampling population is the named corner's variation
         statistics; the nominal corner falls back to the typical
         statistics (a die population must exist to sample from).
-        ``strategy`` picks the evaluation engine explicitly
-        (``"soa"``/``"grouped"``/``"naive"``, see
-        :func:`repro.analysis.robustness.run_monte_carlo`); when left
-        ``None`` it resolves from ``vectorized``.
+        ``vectorized=False`` runs the naive N-scalar-runs baseline (see
+        :func:`repro.analysis.robustness.run_monte_carlo`).
         """
         from dataclasses import replace
 
@@ -335,7 +332,6 @@ class Session:
             context=ctx,
             samples=samples,
             vectorized=vectorized,
-            strategy=strategy,
         )
         return MonteCarloRunResult(result=result, corner=corner, seed=seed)
 

@@ -193,7 +193,6 @@ def _cmd_mc(args) -> int:
                 seed=0,
                 tuner_range=None,
                 naive=False,
-                strategy=None,
             )
         )
     else:
@@ -207,7 +206,6 @@ def _cmd_mc(args) -> int:
             seed=args.seed,
             tuner_range_nm=args.tuner_range,
             vectorized=not args.naive,
-            strategy=args.strategy,
         )
     _emit(result, args)
     return 0
@@ -222,10 +220,7 @@ def _cmd_corners(args) -> int:
 def _cmd_cache(args) -> int:
     session = _session()
     result = session.clear_cache() if args.clear else session.cache_info()
-    if args.json and result.enabled and not args.clear:
-        print(json.dumps(result.envelope(), indent=2))
-    else:
-        print(result.format())
+    _emit(result, args)
     return 0
 
 
@@ -340,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--strategy",
-        choices=("soa", "batched", "serial"),
+        choices=("soa", "serial"),
         default=None,
         help="sweep evaluation strategy (default: soa, the "
-        "array-resident path; batched is the scalar oracle)",
+        "array-resident path; serial is the scalar oracle)",
     )
     sweep.add_argument("--json", action="store_true")
     _add_seed(sweep)
@@ -417,14 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--naive",
         action="store_true",
         help="run the N-scalar-runs baseline instead of the vectorized "
-        "engine (same numbers, benchmarking aid)",
-    )
-    mc.add_argument(
-        "--strategy",
-        choices=("soa", "grouped", "naive"),
-        default=None,
-        help="Monte-Carlo evaluation strategy (default: soa, the "
-        "array-resident path; overrides --naive when given)",
+        "engine (same numbers up to the float rounding of the batched "
+        "TED heater solve; benchmarking aid)",
     )
     mc.add_argument("--json", action="store_true")
     _add_seed(mc)
@@ -481,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-batching",
         action="store_true",
-        help="disable the batched corner-physics path (same numbers; "
+        help="disable the batched corner-physics path (same numbers up "
+        "to the float rounding of the batched TED heater solve; "
         "benchmarking aid)",
     )
     serve.add_argument(

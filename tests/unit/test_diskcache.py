@@ -173,6 +173,26 @@ class TestEndToEnd:
         assert main(["cache", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0
 
+    def test_cache_json_is_always_an_envelope(self, monkeypatch, capsys):
+        """``cache --json`` prints a ``repro.cache/1`` envelope when the
+        cache is disabled and after ``--clear``, not the text line."""
+        pytest.importorskip("jsonschema")
+        from repro.api.schemas import validate_payload
+        from repro.cli import main
+
+        assert main(["cache", "--clear", "--json"]) == 0
+        cleared = json.loads(capsys.readouterr().out)
+        assert validate_payload(cleared) == "repro.cache/1"
+        assert cleared["entries"] == 0
+        assert isinstance(cleared["path"], str)
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        for argv in (["cache", "--json"], ["cache", "--clear", "--json"]):
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert validate_payload(payload) == "repro.cache/1"
+            assert payload["path"] is None
+            assert payload["entries"] == 0
+
     def test_sweep_json_embeds_physics_cache_stats(self, capsys):
         from repro.cli import main
 

@@ -294,7 +294,7 @@ class TestPrimeBreakdownCache:
 
 class TestGoldenFrontier:
     """The 27-point default TRON + GHOST sweep frontier is a golden:
-    the batched engine must reproduce it exactly."""
+    the serial scalar oracle must reproduce it exactly."""
 
     TRON_FRONTIER = ["H16/A128/5.0GHz"]
     GHOST_FRONTIER = ["V32/N16", "V32/N32", "V32/N64"]
@@ -307,8 +307,8 @@ class TestGoldenFrontier:
             tron_sweep_space,
         )
 
-        tron = run_sweep(tron_sweep_space(), strategy="batched")
-        ghost = run_sweep(ghost_sweep_space(), strategy="batched")
+        tron = run_sweep(tron_sweep_space(), strategy="serial")
+        ghost = run_sweep(ghost_sweep_space(), strategy="serial")
         assert len(tron) + len(ghost) == 27
         assert [p.label for p in pareto_frontier(tron)] == self.TRON_FRONTIER
         assert [p.label for p in pareto_frontier(ghost)] == self.GHOST_FRONTIER

@@ -146,6 +146,7 @@ class TestSweepEngine:
 
     def test_custom_space_over_any_workload(self):
         """The engine is workload-agnostic: any evaluate fn works."""
+        from repro.analysis.sweep import run_sweep_with_stats
         from repro.core.base import get_workload
         from repro.core.tron import TRON, TRONConfig
 
@@ -158,13 +159,21 @@ class TestSweepEngine:
             build_workload=lambda: get_workload("MLP-mnist"),
             label=lambda knobs: f"FF{knobs['ff_arrays']}",
         )
-        points = run_sweep(space)
+        points, stats = run_sweep_with_stats(space)
         assert [p.label for p in points] == ["FF4", "FF8"]
         assert all(p.report.workload == "MLP-mnist" for p in points)
+        # No platform / build_config: the soa strategy runs its scalar
+        # fallback, which is the serial path.
+        assert stats.strategy == "soa"
+        assert stats.fallback_points == 2
+        serial = run_sweep(space, strategy="serial")
+        assert [p.report.to_dict() for p in points] == [
+            p.report.to_dict() for p in serial
+        ]
 
 
 class TestSweepStrategies:
-    """The batched engine is an exact reorganization of scalar runs."""
+    """The soa columns are an exact reorganization of scalar runs."""
 
     def _spaces(self):
         return [
@@ -174,37 +183,41 @@ class TestSweepStrategies:
             ghost_sweep_space(lanes=(8, 16), edge_units=(16, 32)),
         ]
 
-    def test_batched_is_bit_identical_to_serial_and_naive(self):
+    def test_soa_is_bit_identical_to_serial_and_naive(self):
         for space in self._spaces():
-            batched = run_sweep(space, strategy="batched")
+            soa = run_sweep(space, strategy="soa")
             serial = run_sweep(space, strategy="serial")
             naive = run_sweep(space, strategy="naive")
-            assert [p.label for p in batched] == [p.label for p in serial]
-            for a, b, c in zip(batched, serial, naive):
+            assert [p.label for p in soa] == [p.label for p in serial]
+            for a, b, c in zip(soa, serial, naive):
                 assert a.report.latency_ns == b.report.latency_ns
                 assert a.report.energy_pj == b.report.energy_pj
                 assert a.report.latency_ns == c.report.latency_ns
                 assert a.report.energy_pj == c.report.energy_pj
 
-    def test_batched_is_the_default_strategy(self):
+    def test_soa_is_the_default_strategy(self):
+        from repro.analysis.sweep import run_sweep_with_stats
+
         space = tron_sweep_space(
             head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
         )
-        default = run_sweep(space)
-        batched = run_sweep(space, strategy="batched")
-        assert default[0].report.energy_pj == batched[0].report.energy_pj
+        default, stats = run_sweep_with_stats(space)
+        serial = run_sweep(space, strategy="serial")
+        assert stats.strategy == "soa"
+        assert default[0].report.energy_pj == serial[0].report.energy_pj
 
     def test_unknown_strategy_rejected(self):
         space = tron_sweep_space(
             head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
         )
-        with pytest.raises(ConfigurationError):
-            run_sweep(space, strategy="gpu")
+        for unknown in ("gpu", "batched"):  # batched was removed
+            with pytest.raises(ConfigurationError):
+                run_sweep(space, strategy=unknown)
 
     def test_strategy_names_and_stats(self):
         from repro.analysis.sweep import STRATEGIES, run_sweep_with_stats
 
-        assert STRATEGIES == ("soa", "batched", "serial", "naive")
+        assert STRATEGIES == ("soa", "serial", "naive")
         space = tron_sweep_space(
             head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
         )
@@ -213,29 +226,14 @@ class TestSweepStrategies:
             assert stats.strategy == strategy
             assert stats.points == len(points) == 1
         parser = build_parser()
-        for strategy in ("soa", "batched", "serial"):
+        for strategy in ("soa", "serial"):
             args = parser.parse_args(["sweep", "tron", "--strategy", strategy])
             assert args.strategy == strategy
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sweep", "tron", "--strategy", "naive"])
+        for rejected in ("naive", "batched"):  # library-only; removed
+            with pytest.raises(SystemExit):
+                parser.parse_args(["sweep", "tron", "--strategy", rejected])
 
-    def test_batched_groups_duplicate_signatures(self):
-        """Points sharing platform + config + normalized context cost
-        through the run path once and share one report object."""
-        from repro.core.context import ExecutionContext
-
-        space = with_corners(
-            tron_sweep_space(
-                head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
-            ),
-            {"none": None, "nominal": ExecutionContext()},
-        )
-        points = run_sweep(space, strategy="batched")
-        assert len(points) == 2
-        # None and a nominal context share a run-path signature.
-        assert points[0].report is points[1].report
-
-    def test_batched_primes_physics_before_running(self):
+    def test_soa_primes_physics_before_running(self):
         from repro.core.engine import breakdown_cache_stats, clear_physics_cache
 
         clear_physics_cache()
@@ -243,21 +241,21 @@ class TestSweepStrategies:
             head_units=(4,), array_sizes=(32, 64), clocks_ghz=(2.5, 5.0)
         )
         before = breakdown_cache_stats()["insertions"]
-        run_sweep(space, strategy="batched")
+        run_sweep(space, strategy="soa")
         stats = breakdown_cache_stats()
         # All four geometries were inserted by the vectorized primer.
         assert stats["insertions"] - before >= 4
 
-    def test_cornered_batched_matches_naive(self):
+    def test_cornered_soa_matches_naive(self):
         space = with_corners(
             tron_sweep_space(
                 head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
             ),
             {"typical": ExecutionContext(variation=ProcessVariationModel())},
         )
-        batched = run_sweep(space, strategy="batched")
+        soa = run_sweep(space, strategy="soa")
         naive = run_sweep(space, strategy="naive")
-        for a, b in zip(batched, naive):
+        for a, b in zip(soa, naive):
             assert a.report.latency_ns == b.report.latency_ns
             assert a.report.energy_pj == b.report.energy_pj
 

@@ -19,7 +19,6 @@ from repro.analysis.sweep import (
     pareto_frontier,
     run_sweep,
     run_sweep_soa,
-    run_sweep_with_stats,
     tron_sweep_space,
     with_corners,
 )
@@ -77,20 +76,6 @@ class TestOncePerSetting:
         result = run_sweep_soa(counted)
         assert len(result) == 4 * len(space.enumerate())
         assert calls == space.enumerate()  # no "corner" entry
-
-    def test_batched_builds_one_accelerator_per_setting(self, name):
-        space = SPACES[name]()
-        calls = []
-        counted = replace(
-            space,
-            build_accelerator=_counting(calls, space.build_accelerator),
-        )
-        points, _ = run_sweep_with_stats(counted, strategy="batched")
-        assert calls == space.enumerate()
-        serial = run_sweep(space, strategy="serial")
-        assert [p.report.to_dict() for p in points] == [
-            p.report.to_dict() for p in serial
-        ]
 
 
 @pytest.mark.parametrize("name", SPACES)
